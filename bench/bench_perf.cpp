@@ -107,9 +107,9 @@ void BM_SeqFaultSimSetup(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_SeqFaultSimSetup, s953, "s953");
 BENCHMARK_CAPTURE(BM_SeqFaultSimSetup, s5378, "s5378");
 
-// Head-to-head engine comparison on one TS_0 sweep. gate_evals_per_sweep
-// is the per-call evaluation count — the cone-restricted engine's ratio
-// versus the full sweep is the headline reduction (BENCH_PR1.json).
+// Head-to-head engine comparison on one TS_0 sweep: the packed production
+// engine against the full-sweep reference. gate_evals_per_sweep is the
+// per-call evaluation count (packed rows count 64-pattern word visits).
 void BM_SeqFaultSimEngines(benchmark::State& state, const char* name,
                            fault::Engine engine) {
   Fixture& f = fixture(name);
@@ -135,21 +135,17 @@ void BM_SeqFaultSimEngines(benchmark::State& state, const char* name,
 }
 BENCHMARK_CAPTURE(BM_SeqFaultSimEngines, s953_fullsweep, "s953",
                   fault::Engine::kFullSweep);
-BENCHMARK_CAPTURE(BM_SeqFaultSimEngines, s953_conediff, "s953",
-                  fault::Engine::kConeDiff);
 BENCHMARK_CAPTURE(BM_SeqFaultSimEngines, s953_packed, "s953",
                   fault::Engine::kPacked);
 BENCHMARK_CAPTURE(BM_SeqFaultSimEngines, s5378_fullsweep, "s5378",
                   fault::Engine::kFullSweep);
-BENCHMARK_CAPTURE(BM_SeqFaultSimEngines, s5378_conediff, "s5378",
-                  fault::Engine::kConeDiff);
 BENCHMARK_CAPTURE(BM_SeqFaultSimEngines, s5378_packed, "s5378",
                   fault::Engine::kPacked);
 
 // Packed (PPSFP) engine detail: one TS_0 sweep with the 64-pattern word
 // engine, exporting the packed-specific work counters. gate_evals_per_sweep
-// here counts word evaluations (64 patterns each) — the ratio against the
-// conediff row of BM_SeqFaultSimEngines is the PR-6 headline.
+// here counts word evaluations (64 patterns each); compare it with the
+// fullsweep rows of BM_SeqFaultSimEngines.
 void BM_PackedFsim(benchmark::State& state, const char* name) {
   Fixture& f = fixture(name);
   core::Ts0Config cfg;

@@ -38,7 +38,7 @@ struct Procedure2Options {
   /// Fault-simulation engine and worker-thread count. Both engines and any
   /// thread count select identical (I, D_1) pairs; these knobs only trade
   /// runtime (and let tests cross-check the engines end to end).
-  fault::Engine engine = fault::Engine::kConeDiff;
+  fault::Engine engine = fault::Engine::kPacked;
   unsigned sim_threads = 0;
   /// Statically-proven-untestable mask over the target faults (1 = prune;
   /// see analysis::sta). When set, run_procedure2 applies it to `fl`

@@ -39,14 +39,13 @@ std::shared_ptr<const scan::TestSet> Ts0Cache::get(const netlist::Netlist& nl,
                                                    fault::Engine engine,
                                                    RunContext* ctx) {
   std::lock_guard lk(mu_);
-  // Key the engine's artifact identity: kPacked shares kConeDiff's sets
-  // (bit-identical results), so either engine hits the other's entries.
+  // Key the engine's frozen artifact identity byte (DESIGN.md §10).
   const Key key{circuit_digest_locked(nl),
                 cfg.l_a,
                 cfg.l_b,
                 cfg.n,
                 cfg.seed,
-                static_cast<std::uint8_t>(fault::artifact_engine(engine))};
+                fault::artifact_identity(engine)};
   auto& slot = cache_[key];
   if (slot) {
     ++hits_;

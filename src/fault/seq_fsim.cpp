@@ -14,39 +14,22 @@ using sim::broadcast;
 using sim::kAllOnes;
 using sim::Word;
 
-namespace {
-
-/// Union-cone occupancy above which a fault group is simulated with the
-/// full sweep even under kConeDiff: when nearly every combinational gate
-/// is reachable from the group's fault sites, the frontier bookkeeping
-/// buys little and the branch-free sweep is cheaper.
-constexpr double kWideConeFraction = 0.95;
-
-}  // namespace
-
 const char* engine_name(Engine engine) noexcept {
   switch (engine) {
     case Engine::kFullSweep:
       return "fullsweep";
-    case Engine::kConeDiff:
-      return "conediff";
     case Engine::kPacked:
       return "packed";
   }
   return "unknown";
 }
 
-const char* engine_choices() noexcept { return "conediff, fullsweep, packed"; }
+const char* engine_choices() noexcept { return "fullsweep, packed"; }
 
 std::optional<Engine> parse_engine(std::string_view name) noexcept {
-  if (name == "conediff") return Engine::kConeDiff;
   if (name == "fullsweep") return Engine::kFullSweep;
   if (name == "packed") return Engine::kPacked;
   return std::nullopt;
-}
-
-Engine artifact_engine(Engine engine) noexcept {
-  return engine == Engine::kPacked ? Engine::kConeDiff : engine;
 }
 
 SeqFaultSim::SeqFaultSim(const sim::CompiledCircuit& cc)
@@ -164,17 +147,9 @@ void SeqFaultSim::clock_with_fixes(const Overlay& o) {
 SeqFaultSim::Trace SeqFaultSim::compute_trace(const scan::ScanTest& test) {
   Trace tr;
   const std::size_t n_sv = cc_->flip_flops().size();
-  // kPacked falls back to kConeDiff for the scalar single-test entry
-  // points, so it needs the snapshot too.
-  const bool capture_snap = engine_ != Engine::kFullSweep;
-  const std::size_t snap_words = (cc_->num_signals() + 63) / 64;
   ref_.load_state_broadcast(test.scan_in);
   tr.po_bits.resize(test.length());
   tr.limited_out_bits.resize(test.length());
-  if (capture_snap) {
-    tr.snap_words = snap_words;
-    tr.snap.assign(test.length() * snap_words, 0);
-  }
   for (std::size_t u = 0; u < test.vectors.size(); ++u) {
     const std::uint32_t s = u < test.shift.size() ? test.shift[u] : 0;
     for (std::uint32_t j = 0; j < s; ++j) {
@@ -194,14 +169,6 @@ SeqFaultSim::Trace SeqFaultSim::compute_trace(const scan::ScanTest& test) {
         extra[k] = sim::lane_bit(ref_.values()[extra_observed_[k]], 0) ? 1 : 0;
       }
       tr.extra_bits.push_back(std::move(extra));
-    }
-    if (capture_snap) {
-      // The reference is lane-uniform; lane 0 carries the whole machine.
-      std::uint64_t* bits = tr.snap.data() + u * snap_words;
-      const std::span<const Word> vals = ref_.values();
-      for (SignalId id = 0; id < vals.size(); ++id) {
-        bits[id / 64] |= std::uint64_t{vals[id] & 1} << (id % 64);
-      }
     }
     ref_.clock();
   }
@@ -258,10 +225,8 @@ void SeqFaultSim::unmark_overlay(const Overlay& o) {
 }
 
 Word SeqFaultSim::run_test_with_trace(const scan::ScanTest& test,
-                                      const Overlay& o, const Trace& trace,
-                                      Engine engine) {
+                                      const Overlay& o, const Trace& trace) {
   mark_overlay(o);
-  const bool cone = engine == Engine::kConeDiff;
   const std::size_t n_sv = cc_->flip_flops().size();
   Word detected = 0;
   const bool signature = mode_ == ObservationMode::kSignature;
@@ -294,19 +259,12 @@ Word SeqFaultSim::run_test_with_trace(const scan::ScanTest& test,
         detected |= out ^ broadcast(trace.limited_out_bits[u][j] != 0);
       }
     }
-    if (cone) {
-      // The bulk restore inside cone_eval seats every word (including the
-      // primary inputs) at the reference value; only diverged gates are
-      // re-evaluated.
-      cone_eval(o, trace, u);
-    } else {
-      const auto pis = cc_->inputs();
-      for (std::size_t k = 0; k < pis.size(); ++k) {
-        values_[pis[k]] = broadcast(test.vectors[u][k] != 0);
-      }
-      apply_out_forces(o);  // PI stuck-at and re-asserted source forces
-      eval_with_overlay(o);
+    const auto pis = cc_->inputs();
+    for (std::size_t k = 0; k < pis.size(); ++k) {
+      values_[pis[k]] = broadcast(test.vectors[u][k] != 0);
     }
+    apply_out_forces(o);  // PI stuck-at and re-asserted source forces
+    eval_with_overlay(o);
     const auto pos = cc_->outputs();
     if (signature) {
       misr_inputs_.clear();
@@ -366,93 +324,6 @@ void SeqFaultSim::enqueue_gate(SignalId id) {
 
 void SeqFaultSim::enqueue_fanout(SignalId id) {
   for (SignalId out : cc_->fanout(id)) enqueue_gate(out);
-}
-
-void SeqFaultSim::cone_eval(const Overlay& o, const Trace& trace,
-                            std::size_t unit) {
-  ++epoch_;
-  const auto ffs = cc_->flip_flops();
-  const std::size_t n_ff = ffs.size();
-
-  // Preserve the faulty flip-flop words across the bulk restore below.
-  if (ff_scratch_.size() < n_ff) ff_scratch_.resize(n_ff);
-  for (std::size_t k = 0; k < n_ff; ++k) ff_scratch_[k] = values_[ffs[k]];
-
-  // Bulk restore: every word — primary inputs, constants, gates — becomes
-  // the lane-uniform reference value for this time unit. Sequential ALU
-  // work, far cheaper than a gate sweep, and it leaves values_ fully
-  // materialized so evaluation below reads it exactly like the full sweep.
-  const std::uint64_t* bits = trace.snap_unit(unit);
-  const std::size_t n = cc_->num_signals();
-  for (std::size_t id = 0; id < n; ++id) {
-    values_[id] = broadcast(((bits[id >> 6] >> (id & 63)) & 1u) != 0);
-  }
-
-  // Re-seat the faulty state; flip-flops that diverged from the reference
-  // (via functional capture, scan shifting of corrupted data, or a Q
-  // force) seed the frontier.
-  for (std::size_t k = 0; k < n_ff; ++k) {
-    const SignalId ff = ffs[k];
-    if (ff_scratch_[k] != values_[ff]) {
-      values_[ff] = ff_scratch_[k];
-      enqueue_fanout(ff);
-    }
-  }
-
-  // Forced sources diverge in place; forced or pin-fixed combinational
-  // gates must be evaluated even with clean fanins.
-  for (const auto& [id, m] : o.out_force) {
-    const GateType t = cc_->type(id);
-    if (t == GateType::kInput || t == GateType::kDff) {
-      const Word w = (values_[id] & m.and_mask) | m.or_mask;
-      if (w != values_[id]) {
-        values_[id] = w;
-        enqueue_fanout(id);
-      }
-    } else {
-      enqueue_gate(id);
-    }
-  }
-  for (const auto& [id, fixes] : o.pin_fix) {
-    (void)fixes;
-    enqueue_gate(id);
-  }
-
-  // Level-ordered frontier: fanouts always sit at strictly higher levels,
-  // so each bucket is final when its turn comes. A gate's pre-write word
-  // is its reference value, so the divergence test is a compare against
-  // the value being replaced; gates that recompute to the reference are
-  // pruned from propagation.
-  std::uint64_t evals = 0;
-  for (std::vector<SignalId>& bucket : level_queue_) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const SignalId id = bucket[i];
-      Word w = cc_->eval_gate(id, values_);
-      const std::uint8_t k = kind_[id];
-      if (k) {
-        if (k & 2) {
-          auto it = o.pin_fix.find(id);
-          for (const PinFix& fix : it->second) {
-            const bool bit = cc_->eval_gate_lane(id, values_, fix.lane,
-                                                 fix.pin, fix.value != 0);
-            w = sim::with_lane(w, fix.lane, bit);
-          }
-        }
-        if (k & 1) {
-          const ForceMask& m = o.out_force[force_slot_[id]].second;
-          w = (w & m.and_mask) | m.or_mask;
-        }
-      }
-      ++evals;
-      if (w != values_[id]) {
-        values_[id] = w;
-        enqueue_fanout(id);
-      }
-    }
-    bucket.clear();
-  }
-  gate_evals_ += evals;
-  frontier_evals_ += evals;
 }
 
 SeqFaultSim::PackedOverlay SeqFaultSim::build_packed_overlay(
@@ -756,7 +627,6 @@ std::size_t SeqFaultSim::run_packed_test_set(const scan::TestSet& ts,
     counters_->add("fsim.gate_evals", gate_evals_ - ge0);
     counters_->add("fsim.frontier_evals", frontier_evals_ - fe0);
     counters_->add("fsim.sweep_evals", sweep_evals_ - se0);
-    counters_->add("fsim.fallback_groups", 0);
     counters_->add("fsim.packed_words", packed_words_ - pw0);
     counters_->add("fsim.packed_batches", packed_batches_ - pb0);
     counters_->add("fsim.lanes_active", lanes_active_ - la0);
@@ -842,11 +712,9 @@ Word SeqFaultSim::run_test(const scan::ScanTest& test,
                            std::span<const Fault> group) {
   const Overlay o = build_overlay(group);
   const Trace tr = compute_trace(test);
-  // This entry point's lanes are faults; kPacked (lanes = patterns)
-  // delegates to the equally exact kConeDiff path.
-  const Engine engine =
-      engine_ == Engine::kPacked ? Engine::kConeDiff : engine_;
-  Word mask = run_test_with_trace(test, o, tr, engine);
+  // This entry point's lanes are faults, so it always runs the full
+  // sweep; kPacked (lanes = patterns) is equally exact.
+  Word mask = run_test_with_trace(test, o, tr);
   if (group.size() < sim::kLanes) {
     mask &= (Word{1} << group.size()) - 1;
   }
@@ -877,7 +745,6 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
   const std::uint64_t ge0 = gate_evals_;
   const std::uint64_t fe0 = frontier_evals_;
   const std::uint64_t se0 = sweep_evals_;
-  const std::uint64_t fb0 = fallback_groups_;
   const auto export_counters = [&](std::size_t groups, std::size_t newly) {
     if (!counters_) return;
     counters_->add("fsim.sweeps", 1);
@@ -887,7 +754,6 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
     counters_->add("fsim.gate_evals", gate_evals_ - ge0);
     counters_->add("fsim.frontier_evals", frontier_evals_ - fe0);
     counters_->add("fsim.sweep_evals", sweep_evals_ - se0);
-    counters_->add("fsim.fallback_groups", fallback_groups_ - fb0);
   };
 
   std::vector<std::size_t> remaining = fl.remaining_indices();
@@ -897,9 +763,10 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
   }
 
   // Group faults by cone locality: chunking sites in levelized order keeps
-  // each group's union cone small, which is what the kConeDiff frontier
-  // prunes against. Detection is lane-independent, so regrouping never
-  // changes per-fault results.
+  // related faults in one 64-lane word, so groups tend to be detected (and
+  // skipped) together. Detection is lane-independent, so regrouping never
+  // changes per-fault results — only the work counters, which this fixed
+  // order keeps stable.
   std::stable_sort(remaining.begin(), remaining.end(),
                    [&](std::size_t a, std::size_t b) {
                      const Fault& fa = fl.fault(a);
@@ -917,7 +784,6 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
     std::vector<Fault> faults;
     Overlay overlay;
     Word undetected = 0;  // lane mask of not-yet-detected faults
-    Engine engine = Engine::kConeDiff;
   };
   std::vector<Group> groups;
   for (std::size_t base = 0; base < remaining.size(); base += sim::kLanes) {
@@ -932,32 +798,7 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
     }
     g.undetected = count == sim::kLanes ? kAllOnes : ((Word{1} << count) - 1);
     g.overlay = build_overlay(g.faults);
-    g.engine = engine_;
     groups.push_back(std::move(g));
-  }
-
-  if (engine_ == Engine::kConeDiff && cc_->has_cones()) {
-    // Wide-cone guard: fall back to the sweep for groups whose fault sites
-    // already reach ~every combinational gate (both engines are exact, so
-    // this is purely a speed decision).
-    const double comb_gates = static_cast<double>(cc_->order().size());
-    std::uint64_t union_epoch = 0;
-    std::vector<std::uint64_t> member(cc_->num_signals(), 0);
-    for (Group& g : groups) {
-      ++union_epoch;
-      std::size_t comb_in_union = 0;
-      for (const Fault& f : g.faults) {
-        for (SignalId id : cc_->cone(f.gate)) {
-          if (member[id] == union_epoch) continue;
-          member[id] = union_epoch;
-          if (netlist::is_combinational(cc_->type(id))) ++comb_in_union;
-        }
-      }
-      if (static_cast<double>(comb_in_union) >= kWideConeFraction * comb_gates) {
-        g.engine = Engine::kFullSweep;
-        ++fallback_groups_;
-      }
-    }
   }
 
   const unsigned hw = threads_ == 0
@@ -973,7 +814,7 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
       for (Group& g : groups) {
         if (g.undetected == 0) continue;
         const Word mask =
-            run_test_with_trace(test, g.overlay, tr, g.engine) & g.undetected;
+            run_test_with_trace(test, g.overlay, tr) & g.undetected;
         if (mask == 0) continue;
         for (std::size_t lane = 0; lane < g.indices.size(); ++lane) {
           if (sim::lane_bit(mask, static_cast<int>(lane))) {
@@ -1001,11 +842,9 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
 
   ensure_workers(n_workers);
   std::vector<std::uint64_t> evals_before(n_workers);
-  std::vector<std::uint64_t> frontier_before(n_workers);
   std::vector<std::uint64_t> sweep_before(n_workers);
   for (unsigned w = 0; w < n_workers; ++w) {
     evals_before[w] = worker_sims_[w]->gate_evals();
-    frontier_before[w] = worker_sims_[w]->frontier_evals();
     sweep_before[w] = worker_sims_[w]->sweep_evals();
   }
   pool_->run(n_workers, [&](unsigned w) {
@@ -1014,8 +853,7 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
       Group& g = groups[gi];
       for (std::size_t t = 0; t < ts.tests.size() && g.undetected; ++t) {
         const Word mask =
-            sim.run_test_with_trace(ts.tests[t], g.overlay, traces[t],
-                                    g.engine) &
+            sim.run_test_with_trace(ts.tests[t], g.overlay, traces[t]) &
             g.undetected;
         g.undetected &= ~mask;
       }
@@ -1023,7 +861,6 @@ std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
   });
   for (unsigned w = 0; w < n_workers; ++w) {
     gate_evals_ += worker_sims_[w]->gate_evals() - evals_before[w];
-    frontier_evals_ += worker_sims_[w]->frontier_evals() - frontier_before[w];
     sweep_evals_ += worker_sims_[w]->sweep_evals() - sweep_before[w];
   }
 

@@ -19,21 +19,19 @@
 //     DFF D-pin fault corrupts functional capture but not scan shifting
 //     (the scan-in path bypasses D through the scan mux).
 //
-// Three evaluation engines produce bit-identical results:
-//   * kFullSweep re-evaluates every combinational gate at every time unit;
-//   * kConeDiff (default) seeds the faulty machine from the fault-free
-//     reference trace and re-evaluates only gates reachable from a
-//     divergence source (fault sites and flip-flops whose state differs
-//     from the reference), pruning propagation wherever a recomputed word
-//     matches the reference. See DESIGN.md, "Engine".
-//   * kPacked flips the lane convention: 64 *patterns* per word, one
-//     fault per run (PPSFP). The fault-free reference is simulated once
-//     per batch of up to 64 equal-length tests, then each remaining fault
-//     replays the batch through the same cone-restricted frontier with
-//     difference *words* (a frontier entry stays live while any lane
-//     differs) and is dropped at the first observation point whose
-//     difference word intersects the live-lane mask. See DESIGN.md,
-//     "Packed engine".
+// Two evaluation engines produce bit-identical results:
+//   * kPacked (default, production) flips the lane convention: 64
+//     *patterns* per word, one fault per run (PPSFP). The fault-free
+//     reference is simulated once per batch of up to 64 equal-length
+//     tests, then each remaining fault replays the batch through a
+//     cone-restricted level-ordered frontier of difference *words* (a
+//     frontier entry stays live while any lane differs) and is dropped at
+//     the first observation point whose difference word intersects the
+//     live-lane mask. See DESIGN.md, "Packed engine".
+//   * kFullSweep (oracle) packs 64 *faults* per word and re-evaluates
+//     every combinational gate at every time unit, one test at a time.
+//     It is the simple reference the production engine is checked
+//     against, and it backs the fault-lane run_test() entry point.
 #pragma once
 
 #include <cstdint>
@@ -66,18 +64,15 @@ enum class ObservationMode : std::uint8_t {
   kSignature,
 };
 
-/// Faulty-machine evaluation strategy. All engines are exact; they trade
+/// Faulty-machine evaluation strategy. Both engines are exact; they trade
 /// per-gate bookkeeping against skipped work.
 enum class Engine : std::uint8_t {
-  /// Full levelized sweep every time unit (the historical engine; right
-  /// for tiny circuits or faults whose cones span the whole core).
-  kFullSweep,
-  /// Cone-restricted difference propagation off the reference trace
-  /// (64 faults per word, one test at a time).
-  kConeDiff,
+  /// Full levelized sweep every time unit (64 faults per word, one test
+  /// at a time): the simple reference engine.
+  kFullSweep = 0,
   /// Bit-parallel pattern-parallel single-fault propagation (64 test
-  /// patterns per word, one fault at a time).
-  kPacked,
+  /// patterns per word, one fault at a time): the production engine.
+  kPacked = 1,
 };
 
 /// Canonical lowercase engine name, as accepted by parse_engine() and the
@@ -91,12 +86,14 @@ enum class Engine : std::uint8_t {
 /// Parses an engine name; nullopt for anything outside engine_choices().
 [[nodiscard]] std::optional<Engine> parse_engine(std::string_view name) noexcept;
 
-/// Engine identity for artifact digests (rls::store, Ts0Cache). All
-/// engines are exact, so kPacked produces bit-identical artifacts to
-/// kConeDiff and shares its on-disk identity; kFullSweep keeps its
-/// historical distinct identity (pinned by StoreSerde tests). See
-/// DESIGN.md §10.
-[[nodiscard]] Engine artifact_engine(Engine engine) noexcept;
+/// Engine identity byte for artifact digests (rls::store, Ts0Cache). The
+/// bytes are frozen on disk: kFullSweep is 0 and kPacked is 1, the byte
+/// of the retired cone-difference engine ("conediff", bit-identical to
+/// kPacked), so artifacts written by either still hit. Pinned by the
+/// StoreSerde tests; see DESIGN.md §10.
+[[nodiscard]] constexpr std::uint8_t artifact_identity(Engine engine) noexcept {
+  return static_cast<std::uint8_t>(engine);
+}
 
 class SeqFaultSim {
  public:
@@ -109,27 +106,22 @@ class SeqFaultSim {
 
   /// Simulates one test against an explicit group of <= 64 faults.
   /// Returns the lane mask of detected faults. The lanes of this entry
-  /// point are faults, so under kPacked (whose lanes are patterns) it
-  /// evaluates via kConeDiff — all engines are exact, so the mask is
-  /// identical either way.
+  /// point are faults, so it always evaluates via kFullSweep (kPacked's
+  /// lanes are patterns) — both engines are exact, so the mask is the
+  /// same either way.
   sim::Word run_test(const scan::ScanTest& test, std::span<const Fault> group);
 
   /// Cumulative gate-evaluation count (one count per gate visit per word).
   [[nodiscard]] std::uint64_t gate_evals() const noexcept { return gate_evals_; }
 
   /// Engine-path split of gate_evals(): evaluations done through the
-  /// kConeDiff level-bucket frontier vs. full levelized sweeps (the two
+  /// kPacked level-bucket frontier vs. full levelized sweeps (the two
   /// always sum to gate_evals()).
   [[nodiscard]] std::uint64_t frontier_evals() const noexcept {
     return frontier_evals_;
   }
   [[nodiscard]] std::uint64_t sweep_evals() const noexcept {
     return sweep_evals_;
-  }
-  /// Fault groups the wide-cone guard demoted from kConeDiff to the full
-  /// sweep (cumulative across run_test_set calls).
-  [[nodiscard]] std::uint64_t fallback_groups() const noexcept {
-    return fallback_groups_;
   }
 
   /// kPacked instrumentation: word-level gate visits done by the packed
@@ -172,7 +164,7 @@ class SeqFaultSim {
     return mode_;
   }
 
-  /// Selects the evaluation engine. Default: kConeDiff.
+  /// Selects the evaluation engine. Default: kPacked.
   void set_engine(Engine engine) { engine_ = engine; }
   [[nodiscard]] Engine engine() const noexcept { return engine_; }
 
@@ -200,22 +192,12 @@ class SeqFaultSim {
     std::vector<scan::BitVector> extra_bits;         // per time unit
     scan::BitVector final_state;                     // state before scan-out
     std::uint64_t signature = 0;                     // kSignature mode only
-    /// Post-eval machine snapshot, one bit per signal per time unit (the
-    /// reference is lane-uniform, so one bit regenerates the 64-lane
-    /// word). Flat [unit * snap_words + id/64] layout; feeds kConeDiff.
-    std::vector<std::uint64_t> snap;
-    std::size_t snap_words = 0;
-
-    [[nodiscard]] const std::uint64_t* snap_unit(
-        std::size_t unit) const noexcept {
-      return snap.data() + unit * snap_words;
-    }
   };
 
   /// kPacked: fault-free reference of one batch. `snap` holds the full
   /// lane-transposed machine per time unit (flat [unit * num_signals + id]
-  /// layout — lanes are patterns, so no broadcast compression applies);
-  /// `shift_out` is step-aligned with the batch's limited scan steps.
+  /// layout); `shift_out` is step-aligned with the batch's limited scan
+  /// steps.
   struct PackedTrace {
     std::vector<sim::Word> snap;          // [length * num_signals]
     std::vector<sim::Word> shift_out;     // [batch.total_steps()]
@@ -246,8 +228,7 @@ class SeqFaultSim {
   Overlay build_overlay(std::span<const Fault> group) const;
   Trace compute_trace(const scan::ScanTest& test);
   sim::Word run_test_with_trace(const scan::ScanTest& test,
-                                const Overlay& overlay, const Trace& trace,
-                                Engine engine);
+                                const Overlay& overlay, const Trace& trace);
 
   // kPacked primitives.
   PackedOverlay build_packed_overlay(const Fault& f, sim::Word live) const;
@@ -267,8 +248,7 @@ class SeqFaultSim {
   sim::Word shift_with_forces(sim::Word scan_in, const Overlay& o);
   void clock_with_fixes(const Overlay& o);
 
-  // kConeDiff primitives.
-  void cone_eval(const Overlay& o, const Trace& trace, std::size_t unit);
+  // kPacked frontier primitives.
   void enqueue_fanout(netlist::SignalId id);
   void enqueue_gate(netlist::SignalId id);
 
@@ -281,9 +261,8 @@ class SeqFaultSim {
   std::vector<sim::Word> next_state_;  // clock scratch
   sim::SeqSim ref_;                    // fault-free reference machine
   std::uint64_t gate_evals_ = 0;
-  std::uint64_t frontier_evals_ = 0;   // gate_evals_ done via cone_eval
+  std::uint64_t frontier_evals_ = 0;   // gate_evals_ done via the frontier
   std::uint64_t sweep_evals_ = 0;      // gate_evals_ done via full sweeps
-  std::uint64_t fallback_groups_ = 0;  // wide-cone demotions
   std::uint64_t packed_words_ = 0;     // kPacked word-level gate visits
   std::uint64_t packed_batches_ = 0;   // kPacked batches simulated
   std::uint64_t lanes_active_ = 0;     // sum of popcount(live) per batch
@@ -296,14 +275,11 @@ class SeqFaultSim {
   /// Overlay::out_force, so force application is O(1) per forced gate.
   std::vector<std::uint32_t> force_slot_;
 
-  // kConeDiff scratch. Each eval bulk-restores values_ from the packed
-  // reference snapshot (cheap ALU) and re-evaluates only gates reachable
-  // from a signal whose word was then changed back to a diverged value;
-  // queued_epoch_ deduplicates frontier insertions per eval.
+  // Frontier scratch: one bucket of gate ids per level; queued_epoch_
+  // deduplicates frontier insertions per time unit (epoch_).
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> queued_epoch_;
   std::vector<std::vector<netlist::SignalId>> level_queue_;
-  std::vector<sim::Word> ff_scratch_;  // faulty state across the restore
 
   // kPacked scratch. The faulty machine is a sparse difference over the
   // packed reference snapshot: fv(id) = diff_val_[id] when diff_epoch_[id]
@@ -318,7 +294,7 @@ class SeqFaultSim {
   unsigned threads_ = 0;
   ObservationMode mode_ = ObservationMode::kPerCycle;
   int misr_degree_ = 16;
-  Engine engine_ = Engine::kConeDiff;
+  Engine engine_ = Engine::kPacked;
   std::unique_ptr<bist::LaneMisr> lane_misr_;  // kSignature mode scratch
   std::vector<sim::Word> misr_inputs_;         // absorb scratch
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -130,9 +131,8 @@ struct OracleEnv {
   const scan::TestSet& ts;  ///< TS_0 followed by one limited-scan set
 };
 
-/// Engines under cross-check, in comparison order.
-constexpr fault::Engine kEngines[3] = {fault::Engine::kConeDiff,
-                                       fault::Engine::kFullSweep,
+/// Engines under cross-check, in comparison order (the reference first).
+constexpr fault::Engine kEngines[2] = {fault::Engine::kFullSweep,
                                        fault::Engine::kPacked};
 
 std::vector<std::uint8_t> simulate_flags(const OracleEnv& env,
@@ -180,10 +180,11 @@ std::optional<std::string> engine_crosscheck(const OracleEnv& env,
     const char* mode_name =
         mode == fault::ObservationMode::kPerCycle ? "percycle" : "signature";
     const std::vector<std::uint8_t> base = simulate_flags(
-        env, fault::Engine::kConeDiff, 1, mode, env.c.options.misr_degree, work);
+        env, fault::Engine::kFullSweep, 1, mode, env.c.options.misr_degree,
+        work);
     std::vector<std::pair<fault::Engine, unsigned>> configs;
     for (const fault::Engine engine : kEngines) {
-      if (engine != fault::Engine::kConeDiff) configs.emplace_back(engine, 1u);
+      if (engine != fault::Engine::kFullSweep) configs.emplace_back(engine, 1u);
       if (env.c.options.threads > 1) {
         configs.emplace_back(engine, env.c.options.threads);
       }
@@ -196,7 +197,7 @@ std::optional<std::string> engine_crosscheck(const OracleEnv& env,
         const std::size_t n = count_diffs(base, flags, &first);
         std::ostringstream msg;
         msg << mode_name << ": " << fault::engine_name(engine) << "@"
-            << threads << " differs from conediff@1 on " << n << "/"
+            << threads << " differs from fullsweep@1 on " << n << "/"
             << base.size() << " faults (first at " << first << ")";
         return msg.str();
       }
@@ -214,7 +215,7 @@ core::Procedure2Options small_p2(const FuzzCase& c) {
   p2.n_same_fc = 1;
   p2.max_iterations = 2;
   p2.base_seed = c.seed ^ 0x9E3779B97F4A7C15ull;
-  p2.engine = kEngines[c.seed % 3];
+  p2.engine = kEngines[c.seed % std::size(kEngines)];
   p2.sim_threads = 1;
   return p2;
 }
@@ -463,7 +464,7 @@ std::optional<std::string> svc_request_fuzz(const FuzzCase& c,
   req.la = c.options.l_a;
   req.lb = c.options.l_b;
   req.n = c.options.n;
-  req.options.p2.engine = kEngines[c.seed % 3];
+  req.options.p2.engine = kEngines[c.seed % std::size(kEngines)];
   req.options.p2.sim_threads = c.options.threads;
   req.options.p2.base_seed = c.seed;
   req.options.combo_jobs = c.options.combo_jobs;

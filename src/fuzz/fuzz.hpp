@@ -15,8 +15,8 @@
 //                      with RequestError/JsonError; accepted mutants must
 //                      be canonically stable (parse -> canonical is a
 //                      fixpoint);
-//   engine-crosscheck  kFullSweep / kConeDiff / kPacked detection flags
-//                      must be identical per test set, in per-cycle AND
+//   engine-crosscheck  kPacked detection flags must equal the kFullSweep
+//                      reference's per test set, in per-cycle AND
 //                      MISR-signature observation, at 1 and at the case's
 //                      randomized thread count;
 //   sta-soundness      every fault rls::analysis::sta proves untestable

@@ -114,8 +114,7 @@ ArtifactKey CampaignStore::ts0_key(const core::Ts0Config& cfg,
       .with("lb", cfg.l_b)
       .with("n", cfg.n)
       .with("seed", cfg.seed)
-      .with("engine",
-            static_cast<std::uint64_t>(fault::artifact_engine(engine)));
+      .with("engine", fault::artifact_identity(engine));
   return key;
 }
 

@@ -324,10 +324,8 @@ std::uint64_t digest_p2_options(const core::Procedure2Options& opt) {
   w.u32(opt.max_iterations);
   w.u64(opt.base_seed);
   w.u8(opt.reseed_per_test ? 1 : 0);
-  // Digest the artifact identity of the engine, not the raw enum:
-  // kPacked is bit-identical to kConeDiff, so their artifacts are
-  // interchangeable and share one digest (see DESIGN.md §10).
-  w.u8(static_cast<std::uint8_t>(fault::artifact_engine(opt.engine)));
+  // Digest the engine's frozen artifact identity byte (see DESIGN.md §10).
+  w.u8(fault::artifact_identity(opt.engine));
   // Prune identity: a sound mask cannot change detection results, but a
   // run must never resume from an artifact produced under a *different*
   // mask (an unsound or stale one would smuggle its omissions into the

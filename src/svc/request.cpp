@@ -1,6 +1,7 @@
 #include "svc/request.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "fault/seq_fsim.hpp"
 #include "store/serde.hpp"
@@ -19,13 +20,31 @@ void append_field_name(std::string& out, std::string_view name) {
   out.push_back(':');
 }
 
-std::uint64_t get_uint(const JsonValue& v, const std::string& name,
-                       const std::string& origin) {
+/// Range-checks an unsigned value against [lo, max(T)] and narrows it to
+/// T. Every narrowed request field goes through here, so an out-of-range
+/// value is a typed error naming the field instead of a silent wrap
+/// (4294967296 must not become 0, nor 4294967295 become int -1).
+template <typename T>
+T in_range(std::uint64_t v, const std::string& name, const std::string& origin,
+           std::uint64_t lo = 0) {
+  constexpr auto hi = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (v < lo || v > hi) {
+    throw RequestError(origin + ": field \"" + name + "\" must be in [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) +
+                       "], got " + std::to_string(v));
+  }
+  return static_cast<T>(v);
+}
+
+/// Reads an unsigned integer field, range-checked into T.
+template <typename T = std::uint64_t>
+T get_uint(const JsonValue& v, const std::string& name,
+           const std::string& origin) {
   if (v.kind != JsonValue::Kind::kUint) {
     throw RequestError(origin + ": field \"" + name +
                        "\" must be an unsigned integer");
   }
-  return v.u;
+  return in_range<T>(v.u, name, origin);
 }
 
 bool get_bool(const JsonValue& v, const std::string& name,
@@ -116,19 +135,19 @@ CampaignRequest parse_request(std::string_view text,
   const JsonObject obj = parse_json_object(text, origin);
   CampaignRequest req;
   std::optional<std::uint32_t> schema;
+  std::string zero_pinned;  // an la/lb/n field given as 0
   for (const auto& [name, value] : obj) {
     if (name == "schema") {
-      schema = static_cast<std::uint32_t>(get_uint(value, name, origin));
+      schema = get_uint<std::uint32_t>(value, name, origin);
     } else if (name == "id") {
       req.id = get_string(value, name, origin);
     } else if (name == "circuit") {
       req.circuit = get_string(value, name, origin);
-    } else if (name == "la") {
-      req.la = get_uint(value, name, origin);
-    } else if (name == "lb") {
-      req.lb = get_uint(value, name, origin);
-    } else if (name == "n") {
-      req.n = get_uint(value, name, origin);
+    } else if (name == "la" || name == "lb" || name == "n") {
+      std::uint64_t& field =
+          name == "la" ? req.la : (name == "lb" ? req.lb : req.n);
+      field = get_uint(value, name, origin);
+      if (field == 0) zero_pinned = name;
     } else if (name == "engine") {
       const std::string& engine = get_string(value, name, origin);
       const std::optional<fault::Engine> e = fault::parse_engine(engine);
@@ -139,11 +158,9 @@ CampaignRequest parse_request(std::string_view text,
       }
       req.options.p2.engine = *e;
     } else if (name == "threads") {
-      req.options.p2.sim_threads =
-          static_cast<unsigned>(get_uint(value, name, origin));
+      req.options.p2.sim_threads = get_uint<unsigned>(value, name, origin);
     } else if (name == "combo_jobs") {
-      req.options.combo_jobs =
-          static_cast<unsigned>(get_uint(value, name, origin));
+      req.options.combo_jobs = get_uint<unsigned>(value, name, origin);
     } else if (name == "d1_order") {
       if (value.kind != JsonValue::Kind::kArray) {
         throw RequestError(origin +
@@ -154,33 +171,32 @@ CampaignRequest parse_request(std::string_view text,
         throw RequestError(origin + ": \"d1_order\" must not be empty");
       }
       req.options.p2.d1_order.clear();
-      for (const std::uint64_t d : value.arr) {
-        req.options.p2.d1_order.push_back(static_cast<std::uint32_t>(d));
+      for (std::size_t i = 0; i < value.arr.size(); ++i) {
+        // D_1 counts shift cycles per limited scan operation: >= 1.
+        req.options.p2.d1_order.push_back(in_range<std::uint32_t>(
+            value.arr[i], "d1_order[" + std::to_string(i) + "]", origin, 1));
       }
     } else if (name == "n_same_fc") {
-      req.options.p2.n_same_fc =
-          static_cast<std::uint32_t>(get_uint(value, name, origin));
+      req.options.p2.n_same_fc = get_uint<std::uint32_t>(value, name, origin);
     } else if (name == "max_iterations") {
       req.options.p2.max_iterations =
-          static_cast<std::uint32_t>(get_uint(value, name, origin));
+          get_uint<std::uint32_t>(value, name, origin);
     } else if (name == "base_seed") {
       req.options.p2.base_seed = get_uint(value, name, origin);
     } else if (name == "reseed_per_test") {
       req.options.p2.reseed_per_test = get_bool(value, name, origin);
     } else if (name == "detect_rounds") {
       req.options.detect.random_rounds =
-          static_cast<std::size_t>(get_uint(value, name, origin));
+          get_uint<std::size_t>(value, name, origin);
     } else if (name == "detect_seed") {
       req.options.detect.seed = get_uint(value, name, origin);
     } else if (name == "backtrack_limit") {
-      req.options.detect.backtrack_limit =
-          static_cast<int>(get_uint(value, name, origin));
+      req.options.detect.backtrack_limit = get_uint<int>(value, name, origin);
     } else if (name == "max_combos_on_failure") {
       req.options.max_combos_on_failure =
-          static_cast<std::size_t>(get_uint(value, name, origin));
+          get_uint<std::size_t>(value, name, origin);
     } else if (name == "max_attempts") {
-      req.options.max_attempts =
-          static_cast<std::size_t>(get_uint(value, name, origin));
+      req.options.max_attempts = get_uint<std::size_t>(value, name, origin);
     } else if (name == "prune_untestable") {
       req.options.prune_untestable = get_bool(value, name, origin);
     } else if (name == "timing") {
@@ -210,6 +226,11 @@ CampaignRequest parse_request(std::string_view text,
   const bool any = (req.la != 0) || (req.lb != 0) || (req.n != 0);
   const bool all = (req.la != 0) && (req.lb != 0) && (req.n != 0);
   if (any && !all) {
+    if (!zero_pinned.empty()) {
+      throw RequestError(origin + ": field \"" + zero_pinned +
+                         "\" must be >= 1 when pinning a combination "
+                         "(omit la, lb and n for the first-complete sweep)");
+    }
     throw RequestError(origin +
                        ": la/lb/n pin a single combination and must be "
                        "given together (or all omitted for the "
@@ -232,7 +253,7 @@ ParsedLine parse_line(std::string_view text, const std::string& origin) {
   std::optional<std::uint32_t> schema;
   for (const auto& [name, value] : obj) {
     if (name == "schema") {
-      schema = static_cast<std::uint32_t>(get_uint(value, name, origin));
+      schema = get_uint<std::uint32_t>(value, name, origin);
     } else if (name == "cancel") {
       cancel.target = get_string(value, name, origin);
     } else {

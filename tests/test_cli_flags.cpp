@@ -1,7 +1,9 @@
 // FlagParser: the declarative argv parser shared by every rls subcommand.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <utility>
@@ -185,23 +187,21 @@ TEST(CliFlags, HelpListsEveryRegisteredFlag) {
   EXPECT_NE(help.find("live status lines"), std::string::npos);
 }
 
-TEST(CliFlags, EngineFlagParsesAllThreeEnginesAndNamesValidSet) {
+TEST(CliFlags, EngineFlagParsesBothEnginesAndNamesValidSet) {
   // The CLI maps --engine through fault::parse_engine and reports the
   // full valid set on mismatch (the same construction rls_cli uses).
   FlagParser fp;
-  std::string engine = "conediff";
+  std::string engine = "packed";
   fp.add_string("engine", &engine,
-                "fault-simulation engine: conediff (default), fullsweep, "
-                "or packed");
+                "fault-simulation engine: packed (default) or fullsweep");
   const std::string help = fp.help();
-  EXPECT_NE(help.find("conediff"), std::string::npos);
   EXPECT_NE(help.find("fullsweep"), std::string::npos);
   EXPECT_NE(help.find("packed"), std::string::npos);
+  EXPECT_STREQ(fault::engine_choices(), "fullsweep, packed");
 
   for (const auto& [name, want] :
-       {std::pair<const char*, fault::Engine>{"conediff",
-                                              fault::Engine::kConeDiff},
-        {"fullsweep", fault::Engine::kFullSweep},
+       {std::pair<const char*, fault::Engine>{"fullsweep",
+                                              fault::Engine::kFullSweep},
         {"packed", fault::Engine::kPacked}}) {
     parse(fp, {(std::string("--engine=") + name).c_str()});
     const std::optional<fault::Engine> parsed = fault::parse_engine(engine);
@@ -217,11 +217,44 @@ TEST(CliFlags, EngineFlagParsesAllThreeEnginesAndNamesValidSet) {
                       engine + "'");
   const std::string what = err.what();
   EXPECT_EQ(what.find('\n'), std::string::npos);  // one-line error
-  EXPECT_NE(what.find("conediff"), std::string::npos);
-  EXPECT_NE(what.find("fullsweep"), std::string::npos);
-  EXPECT_NE(what.find("packed"), std::string::npos);
+  EXPECT_NE(what.find("fullsweep, packed"), std::string::npos);
   EXPECT_NE(what.find("bogus"), std::string::npos);
+
+  // The retired cone-difference engine is no longer a valid name.
+  EXPECT_FALSE(fault::parse_engine("conediff").has_value());
 }
+
+#ifdef RLS_CLI_PATH
+
+/// Runs the real `rls` binary with `args` (stderr folded into stdout);
+/// returns {exit status, output}.
+std::pair<int, std::string> run_rls(const std::string& args) {
+  const std::string cmd = std::string(RLS_CLI_PATH) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(CliEngine, RunWithoutEngineFlagUsesPacked) {
+  const auto [status, out] = run_rls("run s27 --dump-request");
+  EXPECT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("\"engine\":\"packed\""), std::string::npos) << out;
+}
+
+TEST(CliEngine, RetiredConediffEngineIsATypedUsageError) {
+  const auto [status, out] = run_rls("run s27 --engine=conediff");
+  EXPECT_NE(status, 0) << out;
+  EXPECT_NE(out.find("--engine expects one of fullsweep, packed"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("conediff"), std::string::npos) << out;
+}
+
+#endif  // RLS_CLI_PATH
 
 }  // namespace
 }  // namespace rls::cli

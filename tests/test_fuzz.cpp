@@ -126,6 +126,32 @@ TEST(FuzzPlanted, MismatchDetectedTriagedAndShrunkToMinGates) {
   EXPECT_LE(f.profile.num_gates, 12u);
 }
 
+TEST(FuzzPlanted, CorruptReferenceEngineIsCaughtByPacked) {
+  // The kFullSweep reference is itself under test: a bug planted in it
+  // must surface as a mismatch against kPacked, not pass as the baseline.
+  const TempDir tmp("planted-ref");
+  fuzz::FuzzOptions opt = base_options(tmp);
+  std::uint64_t seed = 0;
+  for (;; ++seed) {
+    if (fuzz::derive_case(seed).profile.num_gates >= 40) break;
+  }
+  opt.seed_begin = seed;
+  opt.num_seeds = 1;
+  opt.shrink = false;
+  opt.corrupt_engine = static_cast<int>(fault::Engine::kFullSweep);
+  opt.corrupt_min_gates = 9;
+  const fuzz::FuzzReport rep = fuzz::run_fuzz(opt);
+
+  ASSERT_EQ(rep.findings.size(), 1u);
+  const fuzz::Finding& f = rep.findings[0];
+  EXPECT_EQ(f.oracle, "engine-crosscheck");
+  EXPECT_EQ(f.bucket, fuzz::Bucket::kMismatch);
+  EXPECT_NE(f.detail.find("packed@1 differs from fullsweep@1"),
+            std::string::npos)
+      << f.detail;
+  EXPECT_FALSE(f.shrunk);
+}
+
 TEST(FuzzTimeout, TinyWorkBudgetTriagesTimeout) {
   const TempDir tmp("timeout");
   fuzz::FuzzOptions opt = base_options(tmp);

@@ -1,8 +1,9 @@
 // Engine::kPacked (bit-parallel PPSFP: 64 patterns per word, one fault
-// per run) must be bit-identical to the parallel-fault engines at any
-// thread count: same detection sets, same fault-coverage counts, same
-// MISR-signature detections — including the tail-lane mask edge cases
-// where the pattern count is not divisible by 64.
+// per run; the production default) must be bit-identical to the
+// kFullSweep parallel-fault reference at any thread count: same detection
+// sets, same fault-coverage counts, same MISR-signature detections —
+// including the tail-lane mask edge cases where the pattern count is not
+// divisible by 64.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "bist/misr.hpp"
+#include "core/procedure2.hpp"
 #include "fault/collapse.hpp"
 #include "fault/seq_fsim.hpp"
 #include "gen/registry.hpp"
@@ -160,32 +162,39 @@ TEST(PackedFsimMisr, MaskedAbsorbMatchesScalarPerLaneSchedules) {
   }
 }
 
-// ---- packed vs parallel-fault engines ----------------------------------
+// ---- packed vs the full-sweep reference --------------------------------
+
+TEST(PackedFsim, IsTheDefaultEngine) {
+  const netlist::Netlist nl = gen::make_circuit("s27");
+  const sim::CompiledCircuit cc(nl);
+  EXPECT_EQ(SeqFaultSim(cc).engine(), Engine::kPacked);
+  EXPECT_EQ(core::Procedure2Options{}.engine, Engine::kPacked);
+}
 
 class PackedFsim
     : public ::testing::TestWithParam<std::tuple<const char*, unsigned>> {};
 
-TEST_P(PackedFsim, PerCycleDetectionSetsMatchConeDiff) {
+TEST_P(PackedFsim, PerCycleDetectionSetsMatchFullSweep) {
   const auto [name, threads] = GetParam();
   const netlist::Netlist nl = gen::make_circuit(name);
   const sim::CompiledCircuit cc(nl);
   const scan::TestSet ts = make_set(nl, 1234, 20);
   const auto universe = full_universe(nl);
 
-  SeqFaultSim cone_sim(cc);
-  const std::vector<bool> cone =
-      run_engine(cc, universe, ts, Engine::kConeDiff, 1,
-                 ObservationMode::kPerCycle, &cone_sim);
+  SeqFaultSim sweep_sim(cc);
+  const std::vector<bool> sweep =
+      run_engine(cc, universe, ts, Engine::kFullSweep, 1,
+                 ObservationMode::kPerCycle, &sweep_sim);
   SeqFaultSim packed_sim(cc);
   const std::vector<bool> packed =
       run_engine(cc, universe, ts, Engine::kPacked, threads,
                  ObservationMode::kPerCycle, &packed_sim);
-  expect_same_detections(nl, universe, cone, packed, "per-cycle");
+  expect_same_detections(nl, universe, sweep, packed, "per-cycle");
 
-  // The packed frontier visits far fewer words than the parallel-fault
-  // union-cone frontier (the tentpole speedup), and its bookkeeping is
-  // consistent: every packed gate visit is a frontier visit.
-  EXPECT_LT(packed_sim.gate_evals(), cone_sim.gate_evals());
+  // The packed frontier visits far fewer words than the full sweep, and
+  // its bookkeeping is consistent: every packed gate visit is a frontier
+  // visit.
+  EXPECT_LT(packed_sim.gate_evals(), sweep_sim.gate_evals());
   EXPECT_EQ(packed_sim.packed_words(), packed_sim.frontier_evals());
   EXPECT_EQ(packed_sim.gate_evals(),
             packed_sim.frontier_evals() + packed_sim.sweep_evals());
@@ -193,18 +202,18 @@ TEST_P(PackedFsim, PerCycleDetectionSetsMatchConeDiff) {
   EXPECT_GT(packed_sim.lanes_active(), 0u);
 }
 
-TEST_P(PackedFsim, SignatureDetectionSetsMatchConeDiff) {
+TEST_P(PackedFsim, SignatureDetectionSetsMatchFullSweep) {
   const auto [name, threads] = GetParam();
   const netlist::Netlist nl = gen::make_circuit(name);
   const sim::CompiledCircuit cc(nl);
   const scan::TestSet ts = make_set(nl, 4321, 12);
   const auto universe = full_universe(nl);
 
-  const std::vector<bool> cone = run_engine(
-      cc, universe, ts, Engine::kConeDiff, 1, ObservationMode::kSignature);
+  const std::vector<bool> sweep = run_engine(
+      cc, universe, ts, Engine::kFullSweep, 1, ObservationMode::kSignature);
   const std::vector<bool> packed = run_engine(
       cc, universe, ts, Engine::kPacked, threads, ObservationMode::kSignature);
-  expect_same_detections(nl, universe, cone, packed, "signature");
+  expect_same_detections(nl, universe, sweep, packed, "signature");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -212,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("s298", "s953"),
                        ::testing::Values(1u, 2u, 8u)));
 
-TEST(PackedFsim, ExtraObservedMatchesConeDiff) {
+TEST(PackedFsim, ExtraObservedMatchesFullSweep) {
   const netlist::Netlist nl = gen::make_circuit("s298");
   const sim::CompiledCircuit cc(nl);
   const scan::TestSet ts = make_set(nl, 5, 10);
@@ -221,13 +230,13 @@ TEST(PackedFsim, ExtraObservedMatchesConeDiff) {
                                              cc.flip_flops()[3]};
   for (const ObservationMode mode :
        {ObservationMode::kPerCycle, ObservationMode::kSignature}) {
-    FaultList cone_fl(universe);
-    SeqFaultSim cone(cc);
-    cone.set_engine(Engine::kConeDiff);
-    cone.set_threads(1);
-    cone.set_extra_observed(extra);
-    cone.set_observation_mode(mode, 24);
-    cone.run_test_set(ts, cone_fl);
+    FaultList sweep_fl(universe);
+    SeqFaultSim sweep(cc);
+    sweep.set_engine(Engine::kFullSweep);
+    sweep.set_threads(1);
+    sweep.set_extra_observed(extra);
+    sweep.set_observation_mode(mode, 24);
+    sweep.run_test_set(ts, sweep_fl);
 
     FaultList packed_fl(universe);
     SeqFaultSim packed(cc);
@@ -237,23 +246,23 @@ TEST(PackedFsim, ExtraObservedMatchesConeDiff) {
     packed.set_observation_mode(mode, 24);
     packed.run_test_set(ts, packed_fl);
 
-    ASSERT_EQ(packed_fl.num_detected(), cone_fl.num_detected());
+    ASSERT_EQ(packed_fl.num_detected(), sweep_fl.num_detected());
     for (std::size_t i = 0; i < universe.size(); ++i) {
-      ASSERT_EQ(packed_fl.detected(i), cone_fl.detected(i))
+      ASSERT_EQ(packed_fl.detected(i), sweep_fl.detected(i))
           << fault_name(nl, universe[i]);
     }
   }
 }
 
 TEST(PackedFsim, SingleTestEntryPointFallsBackExactly) {
-  // run_test's lanes are faults, so kPacked delegates to kConeDiff; the
-  // masks must match the other engines bit for bit.
+  // run_test's lanes are faults, so kPacked delegates to kFullSweep; the
+  // masks must match an explicit kFullSweep simulator bit for bit.
   const netlist::Netlist nl = gen::make_circuit("s298");
   const sim::CompiledCircuit cc(nl);
   const scan::TestSet ts = make_set(nl, 77, 3);
   const auto universe = full_universe(nl);
-  SeqFaultSim cone(cc);
-  cone.set_engine(Engine::kConeDiff);
+  SeqFaultSim sweep(cc);
+  sweep.set_engine(Engine::kFullSweep);
   SeqFaultSim packed(cc);
   packed.set_engine(Engine::kPacked);
   for (const scan::ScanTest& test : ts.tests) {
@@ -261,7 +270,7 @@ TEST(PackedFsim, SingleTestEntryPointFallsBackExactly) {
       const std::size_t n =
           std::min<std::size_t>(sim::kLanes, universe.size() - base);
       const std::span<const Fault> group(universe.data() + base, n);
-      ASSERT_EQ(packed.run_test(test, group), cone.run_test(test, group));
+      ASSERT_EQ(packed.run_test(test, group), sweep.run_test(test, group));
     }
   }
 }
@@ -271,7 +280,7 @@ TEST(PackedFsim, SingleTestEntryPointFallsBackExactly) {
 class PackedFsimDifferential : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(PackedFsimDifferential, ThreeEnginesAgreeAtEveryTailCount) {
+TEST_P(PackedFsimDifferential, EnginesAgreeAtEveryTailCount) {
   // Seeded synthetic circuits x pattern counts around the 64-lane
   // boundary: 1 (single live lane), 63/65 (partial tail), 64 (full), 257
   // (4 full batches + 1-lane tail).
@@ -282,15 +291,15 @@ TEST_P(PackedFsimDifferential, ThreeEnginesAgreeAtEveryTailCount) {
   for (const int count : {1, 63, 64, 65, 257}) {
     const scan::TestSet ts =
         make_set(nl, 1000 + GetParam() * 31 + count, count, /*length=*/4);
-    const std::vector<bool> cone =
-        run_engine(cc, universe, ts, Engine::kConeDiff, 1);
     const std::vector<bool> sweep =
         run_engine(cc, universe, ts, Engine::kFullSweep, 1);
-    const std::vector<bool> packed =
-        run_engine(cc, universe, ts, Engine::kPacked, 2);
     const std::string what = "count=" + std::to_string(count);
-    expect_same_detections(nl, universe, cone, sweep, what + " sweep");
-    expect_same_detections(nl, universe, cone, packed, what + " packed");
+    for (const unsigned threads : {1u, 2u}) {
+      const std::vector<bool> packed =
+          run_engine(cc, universe, ts, Engine::kPacked, threads);
+      expect_same_detections(nl, universe, sweep, packed,
+                             what + " packed@" + std::to_string(threads));
+    }
   }
 }
 
@@ -302,15 +311,16 @@ TEST_P(PackedFsimDifferential, SignaturesAgreeAcrossTailCounts) {
   for (const int count : {1, 63, 65}) {
     const scan::TestSet ts =
         make_set(nl, 2000 + GetParam() * 17 + count, count, /*length=*/5);
-    const std::vector<bool> cone = run_engine(
-        cc, universe, ts, Engine::kConeDiff, 1, ObservationMode::kSignature);
     const std::vector<bool> sweep = run_engine(
         cc, universe, ts, Engine::kFullSweep, 1, ObservationMode::kSignature);
-    const std::vector<bool> packed = run_engine(
-        cc, universe, ts, Engine::kPacked, 2, ObservationMode::kSignature);
     const std::string what = "count=" + std::to_string(count);
-    expect_same_detections(nl, universe, cone, sweep, what + " sweep");
-    expect_same_detections(nl, universe, cone, packed, what + " packed");
+    for (const unsigned threads : {1u, 2u}) {
+      const std::vector<bool> packed = run_engine(
+          cc, universe, ts, Engine::kPacked, threads,
+          ObservationMode::kSignature);
+      expect_same_detections(nl, universe, sweep, packed,
+                             what + " packed@" + std::to_string(threads));
+    }
   }
 }
 
@@ -321,17 +331,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PackedFsimDifferential,
 
 class PackedFsimRegistry : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(PackedFsimRegistry, MatchesConeDiffOnEveryCircuit) {
+TEST_P(PackedFsimRegistry, MatchesFullSweepOnEveryCircuit) {
   for (const std::string& name : gen::known_circuits()) {
     const netlist::Netlist nl = gen::make_circuit(name);
     const sim::CompiledCircuit cc(nl);
     const scan::TestSet ts = make_set(nl, 0xC0FFEE, 6, /*length=*/3);
     const auto universe = full_universe(nl);
-    const std::vector<bool> cone =
-        run_engine(cc, universe, ts, Engine::kConeDiff, 1);
+    const std::vector<bool> sweep =
+        run_engine(cc, universe, ts, Engine::kFullSweep, 1);
     const std::vector<bool> packed =
         run_engine(cc, universe, ts, Engine::kPacked, GetParam());
-    expect_same_detections(nl, universe, cone, packed, name);
+    expect_same_detections(nl, universe, sweep, packed, name);
   }
 }
 

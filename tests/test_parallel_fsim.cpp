@@ -1,11 +1,12 @@
-// The fault-group-parallel path of SeqFaultSim must be bit-identical to
-// the serial path at any thread count (forced here, independent of the
-// host's core count), and the kConeDiff difference engine must be
-// bit-identical to the kFullSweep engine while doing strictly less work.
+// The parallel path of SeqFaultSim must be bit-identical to the serial
+// path at any thread count (forced here, independent of the host's core
+// count), and the kPacked production engine must be bit-identical to the
+// kFullSweep reference engine while doing strictly less work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
+#include <vector>
 #include <tuple>
 
 #include "fault/collapse.hpp"
@@ -116,19 +117,19 @@ TEST_P(EngineCrossCheck, PerCycleDetectionSetsMatch) {
   sweep.set_threads(threads);
   sweep.run_test_set(ts, sweep_fl);
 
-  FaultList cone_fl(universe);
-  SeqFaultSim cone(cc);
-  cone.set_engine(Engine::kConeDiff);
-  cone.set_threads(threads);
-  cone.run_test_set(ts, cone_fl);
+  FaultList packed_fl(universe);
+  SeqFaultSim packed(cc);
+  packed.set_engine(Engine::kPacked);
+  packed.set_threads(threads);
+  packed.run_test_set(ts, packed_fl);
 
-  ASSERT_EQ(cone_fl.num_detected(), sweep_fl.num_detected());
+  ASSERT_EQ(packed_fl.num_detected(), sweep_fl.num_detected());
   for (std::size_t i = 0; i < universe.size(); ++i) {
-    ASSERT_EQ(cone_fl.detected(i), sweep_fl.detected(i))
+    ASSERT_EQ(packed_fl.detected(i), sweep_fl.detected(i))
         << fault_name(nl, universe[i]);
   }
-  // The difference engine must do strictly less gate work.
-  EXPECT_LT(cone.gate_evals(), sweep.gate_evals());
+  // The production engine must do strictly less gate work.
+  EXPECT_LT(packed.gate_evals(), sweep.gate_evals());
 }
 
 TEST_P(EngineCrossCheck, SignatureDetectionSetsMatch) {
@@ -145,37 +146,48 @@ TEST_P(EngineCrossCheck, SignatureDetectionSetsMatch) {
   sweep.set_threads(threads);
   sweep.run_test_set(ts, sweep_fl);
 
-  FaultList cone_fl(universe);
-  SeqFaultSim cone(cc);
-  cone.set_engine(Engine::kConeDiff);
-  cone.set_observation_mode(ObservationMode::kSignature, 24);
-  cone.set_threads(threads);
-  cone.run_test_set(ts, cone_fl);
+  FaultList packed_fl(universe);
+  SeqFaultSim packed(cc);
+  packed.set_engine(Engine::kPacked);
+  packed.set_observation_mode(ObservationMode::kSignature, 24);
+  packed.set_threads(threads);
+  packed.run_test_set(ts, packed_fl);
 
-  ASSERT_EQ(cone_fl.num_detected(), sweep_fl.num_detected());
+  ASSERT_EQ(packed_fl.num_detected(), sweep_fl.num_detected());
   for (std::size_t i = 0; i < universe.size(); ++i) {
-    ASSERT_EQ(cone_fl.detected(i), sweep_fl.detected(i))
+    ASSERT_EQ(packed_fl.detected(i), sweep_fl.detected(i))
         << fault_name(nl, universe[i]);
   }
-  EXPECT_LT(cone.gate_evals(), sweep.gate_evals());
+  EXPECT_LT(packed.gate_evals(), sweep.gate_evals());
 }
 
 TEST(EngineCrossCheck, SingleTestMaskMatchesAcrossEngines) {
+  // The fault-lane run_test entry point (a kFullSweep evaluation) must
+  // agree with a kPacked run_test_set of the same single test over the
+  // same fault group.
   const netlist::Netlist nl = gen::make_circuit("s298");
   const sim::CompiledCircuit cc(nl);
   const scan::TestSet ts = make_set(nl, 77, 3);
   const auto universe = full_universe(nl);
 
-  SeqFaultSim sweep(cc);
-  sweep.set_engine(Engine::kFullSweep);
-  SeqFaultSim cone(cc);
-  cone.set_engine(Engine::kConeDiff);
+  SeqFaultSim lanes(cc);
+  SeqFaultSim packed(cc);
+  packed.set_engine(Engine::kPacked);
+  packed.set_threads(1);
   for (const scan::ScanTest& test : ts.tests) {
+    scan::TestSet one;
+    one.tests.push_back(test);
     for (std::size_t base = 0; base < universe.size(); base += sim::kLanes) {
       const std::size_t n =
           std::min<std::size_t>(sim::kLanes, universe.size() - base);
       const std::span<const Fault> group(universe.data() + base, n);
-      ASSERT_EQ(cone.run_test(test, group), sweep.run_test(test, group));
+      FaultList fl(std::vector<Fault>(group.begin(), group.end()));
+      packed.run_test_set(one, fl);
+      sim::Word want = 0;
+      for (std::size_t lane = 0; lane < n; ++lane) {
+        if (fl.detected(lane)) want |= sim::Word{1} << lane;
+      }
+      ASSERT_EQ(lanes.run_test(test, group), want);
     }
   }
 }

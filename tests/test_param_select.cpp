@@ -78,13 +78,13 @@ TEST(ParamSelect, Ts0CacheMemoizesPerKey) {
   cfg.l_b = 16;
   cfg.n = 4;
   cfg.seed = wb.ts0_seed();
-  const auto a = cache.get(wb.nl(), cfg, fault::Engine::kConeDiff);
-  const auto b = cache.get(wb.nl(), cfg, fault::Engine::kConeDiff);
+  const auto a = cache.get(wb.nl(), cfg, fault::Engine::kPacked);
+  const auto b = cache.get(wb.nl(), cfg, fault::Engine::kPacked);
   EXPECT_EQ(a.get(), b.get());  // same shared set, not a regeneration
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
   cfg.seed ^= 1;
-  const auto c = cache.get(wb.nl(), cfg, fault::Engine::kConeDiff);
+  const auto c = cache.get(wb.nl(), cfg, fault::Engine::kPacked);
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 2u);

@@ -156,24 +156,25 @@ class P2EngineEquivalence
 TEST_P(P2EngineEquivalence, EnginesSelectIdenticalId1Pairs) {
   const auto [name, threads] = GetParam();
   P2Fixture sweep = make_setup(name, 8, 16, 8);
-  P2Fixture cone = make_setup(name, 8, 16, 8);
-  Procedure2Options os, oc;
-  os.max_iterations = oc.max_iterations = 3;
+  P2Fixture packed = make_setup(name, 8, 16, 8);
+  Procedure2Options os, op;
+  os.max_iterations = op.max_iterations = 3;
   os.engine = fault::Engine::kFullSweep;
-  oc.engine = fault::Engine::kConeDiff;
-  os.sim_threads = oc.sim_threads = threads;
+  op.engine = fault::Engine::kPacked;
+  os.sim_threads = op.sim_threads = threads;
   const Procedure2Result rs = run_procedure2(*sweep.cc, sweep.ts0, sweep.fl, os);
-  const Procedure2Result rc = run_procedure2(*cone.cc, cone.ts0, cone.fl, oc);
-  EXPECT_EQ(rc.ts0_detected, rs.ts0_detected);
-  EXPECT_EQ(rc.total_detected, rs.total_detected);
-  ASSERT_EQ(rc.applied.size(), rs.applied.size());
-  for (std::size_t k = 0; k < rc.applied.size(); ++k) {
-    EXPECT_EQ(rc.applied[k].iteration, rs.applied[k].iteration);
-    EXPECT_EQ(rc.applied[k].d1, rs.applied[k].d1);
-    EXPECT_EQ(rc.applied[k].detected, rs.applied[k].detected);
+  const Procedure2Result rp =
+      run_procedure2(*packed.cc, packed.ts0, packed.fl, op);
+  EXPECT_EQ(rp.ts0_detected, rs.ts0_detected);
+  EXPECT_EQ(rp.total_detected, rs.total_detected);
+  ASSERT_EQ(rp.applied.size(), rs.applied.size());
+  for (std::size_t k = 0; k < rp.applied.size(); ++k) {
+    EXPECT_EQ(rp.applied[k].iteration, rs.applied[k].iteration);
+    EXPECT_EQ(rp.applied[k].d1, rs.applied[k].d1);
+    EXPECT_EQ(rp.applied[k].detected, rs.applied[k].detected);
   }
   for (std::size_t i = 0; i < sweep.fl.size(); ++i) {
-    ASSERT_EQ(cone.fl.detected(i), sweep.fl.detected(i));
+    ASSERT_EQ(packed.fl.detected(i), sweep.fl.detected(i));
   }
 }
 

@@ -21,6 +21,7 @@
 #include "store/artifact_store.hpp"
 #include "store/checkpoint.hpp"
 #include "store/serde.hpp"
+#include "svc/request.hpp"
 
 namespace fs = std::filesystem;
 
@@ -233,40 +234,37 @@ TEST(StoreSerde, P2OptionsDigestIgnoresThreadsButNotEngine) {
   EXPECT_NE(digest_p2_options(a), digest_p2_options(d));
 }
 
-TEST(StoreSerde, PackedEngineSharesConeDiffArtifactIdentity) {
-  // DESIGN.md §10: digests key the engine's *artifact* identity. kPacked
-  // is bit-identical to kConeDiff, so the two share cache entries; only
-  // kFullSweep keeps a distinct (historical) identity.
-  EXPECT_EQ(fault::artifact_engine(fault::Engine::kPacked),
-            fault::Engine::kConeDiff);
-  EXPECT_EQ(fault::artifact_engine(fault::Engine::kConeDiff),
-            fault::Engine::kConeDiff);
-  EXPECT_EQ(fault::artifact_engine(fault::Engine::kFullSweep),
-            fault::Engine::kFullSweep);
+TEST(StoreSerde, EngineIdentityBytesAreFrozen) {
+  // DESIGN.md §10: digests key the engine's frozen identity byte. kPacked
+  // keeps byte 1 of the retired (bit-identical) cone-difference engine, so
+  // a store warmed while that engine was the default still hits; kFullSweep
+  // keeps its historical 0.
+  EXPECT_EQ(fault::artifact_identity(fault::Engine::kFullSweep), 0u);
+  EXPECT_EQ(fault::artifact_identity(fault::Engine::kPacked), 1u);
 
-  core::Procedure2Options cone;
-  core::Procedure2Options packed;
-  packed.engine = fault::Engine::kPacked;
-  core::Procedure2Options sweep;
+  // Pinned literals: the digests the default request produced while the
+  // cone-difference engine was the default. They must never move.
+  const core::Procedure2Options defaults =
+      svc::parse_request(R"({"schema":2,"circuit":"s27"})", "t").options.p2;
+  ASSERT_EQ(defaults.engine, fault::Engine::kPacked);
+  EXPECT_EQ(digest_p2_options(defaults), 0xd1d6b5146fb77474ull);
+  core::Procedure2Options sweep = defaults;
   sweep.engine = fault::Engine::kFullSweep;
-  EXPECT_EQ(digest_p2_options(cone), digest_p2_options(packed));
-  EXPECT_NE(digest_p2_options(cone), digest_p2_options(sweep));
+  EXPECT_EQ(digest_p2_options(sweep), 0xd1da1b146fba579dull);
 
-  // ts0_key applies the same policy: kPacked resolves to kConeDiff's key.
   const ScratchDir dir("enginekey");
   const netlist::Netlist nl = gen::make_circuit("s27");
   const std::vector<fault::Fault> targets = fault::collapsed_universe(nl);
   ArtifactStore astore(dir.path());
   const CampaignStore cs(astore, nl, targets, false);
-  core::Ts0Config cfg;
-  cfg.l_a = 4;
-  cfg.l_b = 8;
-  cfg.n = 4;
-  cfg.seed = 7;
-  EXPECT_EQ(cs.ts0_key(cfg, fault::Engine::kPacked).digest(),
-            cs.ts0_key(cfg, fault::Engine::kConeDiff).digest());
-  EXPECT_NE(cs.ts0_key(cfg, fault::Engine::kPacked).digest(),
-            cs.ts0_key(cfg, fault::Engine::kFullSweep).digest());
+  const core::Ts0Config cfg;
+  EXPECT_EQ(cs.ts0_key(cfg, defaults.engine).digest(), 0xf90fc9b932bd8094ull);
+  EXPECT_EQ(cs.ts0_key(cfg, defaults.engine).filename(),
+            "ts0-f90fc9b932bd8094.rlsa");
+  EXPECT_EQ(cs.ts0_key(cfg, fault::Engine::kFullSweep).digest(),
+            0x180a90c23daccab5ull);
+  EXPECT_EQ(cs.p2_key(core::Combo{8, 16, 64, 0}, defaults, 1).digest(),
+            0xde91e9ad871f938bull);
 }
 
 // ---- StoreArtifact -------------------------------------------------------
@@ -723,9 +721,9 @@ TEST(StoreCheckpoint, KeysSeparateCircuitsEnginesAndOptions) {
   const CampaignStore b(astore, s298, t298, false);
 
   core::Ts0Config cfg;
-  EXPECT_NE(a.ts0_key(cfg, fault::Engine::kConeDiff).filename(),
-            b.ts0_key(cfg, fault::Engine::kConeDiff).filename());
-  EXPECT_NE(a.ts0_key(cfg, fault::Engine::kConeDiff).filename(),
+  EXPECT_NE(a.ts0_key(cfg, fault::Engine::kPacked).filename(),
+            b.ts0_key(cfg, fault::Engine::kPacked).filename());
+  EXPECT_NE(a.ts0_key(cfg, fault::Engine::kPacked).filename(),
             a.ts0_key(cfg, fault::Engine::kFullSweep).filename());
 
   core::Procedure2Options opt;

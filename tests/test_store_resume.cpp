@@ -342,7 +342,7 @@ TEST(StoreTs0Disk, Ts0SurvivesAcrossCacheInstances) {
   first.set_store(&cs);
   core::RunContext ctx1;
   const auto a =
-      first.get(wb.nl(), cfg, fault::Engine::kConeDiff, &ctx1);
+      first.get(wb.nl(), cfg, fault::Engine::kPacked, &ctx1);
   EXPECT_EQ(ctx1.counters().value("store.ts0_disk_writes"), 1u);
   EXPECT_EQ(ctx1.counters().value("store.ts0_disk_hits"), 0u);
   EXPECT_EQ(first.hits(), 0u);
@@ -353,7 +353,7 @@ TEST(StoreTs0Disk, Ts0SurvivesAcrossCacheInstances) {
   second.set_store(&cs);
   core::RunContext ctx2;
   const auto b =
-      second.get(wb.nl(), cfg, fault::Engine::kConeDiff, &ctx2);
+      second.get(wb.nl(), cfg, fault::Engine::kPacked, &ctx2);
   EXPECT_EQ(ctx2.counters().value("store.ts0_disk_hits"), 1u);
   EXPECT_EQ(ctx2.counters().value("store.ts0_disk_writes"), 0u);
   EXPECT_EQ(second.hits(), 1u);

@@ -19,6 +19,7 @@
 
 #include "core/campaign.hpp"
 #include "core/run_context.hpp"
+#include "fault/seq_fsim.hpp"
 #include "obs/trace.hpp"
 #include "store/artifact_store.hpp"
 #include "store/checkpoint.hpp"
@@ -232,6 +233,131 @@ TEST(SvcRequest, ParseLineDispatchesCancelStrictly) {
   EXPECT_THROW(svc::parse_line(R"({"cancel":""})", "t"), svc::RequestError);
   EXPECT_THROW(svc::parse_line(R"({"schema":3,"cancel":"q7"})", "t"),
                svc::RequestError);
+}
+
+/// Parses `line` and expects a RequestError whose message contains every
+/// fragment in `want` (the field name and its range).
+void expect_request_error(const std::string& line,
+                          std::initializer_list<const char*> want) {
+  try {
+    (void)svc::parse_line(line, "t");
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const svc::RequestError& e) {
+    const std::string what = e.what();
+    for (const char* w : want) {
+      EXPECT_NE(what.find(w), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(SvcRequest, DefaultRequestUsesThePackedEngine) {
+  const svc::CampaignRequest req =
+      svc::parse_request(R"({"schema":2,"circuit":"s27"})", "t");
+  EXPECT_EQ(req.options.p2.engine, fault::Engine::kPacked);
+  EXPECT_NE(req.canonical_json().find(R"("engine":"packed")"),
+            std::string::npos);
+}
+
+TEST(SvcRequest, RetiredConediffEngineIsATypedError) {
+  expect_request_error(R"({"schema":2,"circuit":"s27","engine":"conediff"})",
+                       {"\"engine\" expects one of fullsweep, packed",
+                        "conediff"});
+}
+
+// ---- SvcRequestRange: no silent narrowing at the request boundary -------
+
+TEST(SvcRequestRange, SchemaRejectsValuesBeyond32Bits) {
+  // 4294967298 used to wrap to schema 2 and parse.
+  expect_request_error(R"({"schema":4294967298,"circuit":"s27"})",
+                       {"\"schema\"", "[0, 4294967295]", "4294967298"});
+}
+
+TEST(SvcRequestRange, CancelSchemaRejectsValuesBeyond32Bits) {
+  expect_request_error(R"({"schema":4294967296,"cancel":"q7"})",
+                       {"\"schema\"", "[0, 4294967295]"});
+}
+
+TEST(SvcRequestRange, ThreadsRejectsValuesBeyond32Bits) {
+  expect_request_error(R"({"schema":2,"circuit":"s27","threads":4294967296})",
+                       {"\"threads\"", "[0, 4294967295]", "4294967296"});
+  const svc::CampaignRequest max = svc::parse_request(
+      R"({"schema":2,"circuit":"s27","threads":4294967295})", "t");
+  EXPECT_EQ(max.options.p2.sim_threads, 4294967295u);
+}
+
+TEST(SvcRequestRange, ComboJobsRejectsValuesBeyond32Bits) {
+  expect_request_error(
+      R"({"schema":2,"circuit":"s27","combo_jobs":4294967296})",
+      {"\"combo_jobs\"", "[0, 4294967295]"});
+}
+
+TEST(SvcRequestRange, D1OrderElementsMustBeIn1To32Bits) {
+  // [4294967296] used to wrap to [0], coalesce with a literal [0]
+  // request and fail late as a "run" error.
+  expect_request_error(
+      R"({"schema":2,"circuit":"s27","d1_order":[1,4294967296]})",
+      {"\"d1_order[1]\"", "[1, 4294967295]", "4294967296"});
+  expect_request_error(R"({"schema":2,"circuit":"s27","d1_order":[0]})",
+                       {"\"d1_order[0]\"", "[1, 4294967295]"});
+}
+
+TEST(SvcRequestRange, NSameFcRejectsValuesBeyond32Bits) {
+  expect_request_error(R"({"schema":2,"circuit":"s27","n_same_fc":4294967296})",
+                       {"\"n_same_fc\"", "[0, 4294967295]"});
+}
+
+TEST(SvcRequestRange, MaxIterationsRejectsValuesBeyond32Bits) {
+  expect_request_error(
+      R"({"schema":2,"circuit":"s27","max_iterations":4294967296})",
+      {"\"max_iterations\"", "[0, 4294967295]"});
+}
+
+TEST(SvcRequestRange, BacktrackLimitRejectsValuesBeyondInt) {
+  // 4294967295 used to become backtrack_limit -1.
+  expect_request_error(
+      R"({"schema":2,"circuit":"s27","backtrack_limit":4294967295})",
+      {"\"backtrack_limit\"", "[0, 2147483647]", "4294967295"});
+  expect_request_error(
+      R"({"schema":2,"circuit":"s27","backtrack_limit":2147483648})",
+      {"\"backtrack_limit\"", "[0, 2147483647]"});
+  const svc::CampaignRequest max = svc::parse_request(
+      R"({"schema":2,"circuit":"s27","backtrack_limit":2147483647})", "t");
+  EXPECT_EQ(max.options.detect.backtrack_limit, 2147483647);
+  EXPECT_EQ(svc::parse_request(max.canonical_json(), "t").canonical_json(),
+            max.canonical_json());
+}
+
+TEST(SvcRequestRange, ZeroPinnedLengthGetsItsOwnMessage) {
+  expect_request_error(R"({"schema":2,"circuit":"s27","la":0,"lb":16,"n":8})",
+                       {"\"la\" must be >= 1"});
+  expect_request_error(R"({"schema":2,"circuit":"s27","la":8,"lb":16,"n":0})",
+                       {"\"n\" must be >= 1"});
+  // An omitted field keeps the all-or-none message.
+  expect_request_error(R"({"schema":2,"circuit":"s27","lb":16,"n":8})",
+                       {"must be given together"});
+  // All three explicit zeros are the canonical first-complete sweep.
+  EXPECT_NO_THROW(svc::parse_request(
+      R"({"schema":2,"circuit":"s27","la":0,"lb":0,"n":0})", "t"));
+}
+
+TEST(SvcRequestRange, UpperBoundsParseAndRoundTrip) {
+  // The range check is inclusive: each narrowed field accepts exactly its
+  // type's maximum, and the canonical form re-parses to itself.
+  const svc::CampaignRequest req = svc::parse_request(
+      R"({"schema":2,"circuit":"s27","combo_jobs":4294967295,)"
+      R"("d1_order":[1,4294967295],"n_same_fc":4294967295,)"
+      R"("max_iterations":4294967295})",
+      "t");
+  EXPECT_EQ(req.options.combo_jobs, 4294967295u);
+  EXPECT_EQ(req.options.p2.d1_order,
+            (std::vector<std::uint32_t>{1u, 4294967295u}));
+  EXPECT_EQ(req.options.p2.n_same_fc, 4294967295u);
+  EXPECT_EQ(req.options.p2.max_iterations, 4294967295u);
+  EXPECT_EQ(svc::parse_request(req.canonical_json(), "t").canonical_json(),
+            req.canonical_json());
+  // A zero lb among pinned la/n names lb, like la and n.
+  expect_request_error(R"({"schema":2,"circuit":"s27","la":8,"lb":0,"n":8})",
+                       {"\"lb\" must be >= 1"});
 }
 
 TEST(SvcRequest, CoalesceKeyNeutralizesScheduleOnlyFields) {

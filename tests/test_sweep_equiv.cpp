@@ -140,14 +140,15 @@ std::string strip_gate_evals(const std::string& trace) {
   return out;
 }
 
-TEST(SweepEquiv, PackedEngineMatchesConeDiffSweep) {
-  // Cross-engine equivalence: a serial kConeDiff sweep vs a W = 8
-  // speculative sweep running the packed (PPSFP) engine. Detection is
-  // bit-identical, so the winner, committed runs, and trace agree byte
+TEST(SweepEquiv, PackedEngineMatchesFullSweepOracle) {
+  // Cross-engine equivalence: a serial kFullSweep (reference) sweep vs a
+  // W = 8 speculative sweep running the packed (PPSFP) engine. Detection
+  // is bit-identical, so the winner, committed runs, and trace agree byte
   // for byte — except the engine-dependent gate_evals field in "sweep"
   // events, and the fsim.* work counters, which measure different work.
   const Workbench wb("s298");
   Procedure2Options p2;
+  p2.engine = fault::Engine::kFullSweep;
   p2.sim_threads = 1;
   p2.max_iterations = 4;
   p2.n_same_fc = 2;

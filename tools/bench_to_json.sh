@@ -10,10 +10,10 @@
 # BM_CampaignCached/s298_{cold,warm} is the same campaign against an empty
 # versus a populated artifact store — the cold/warm ratio is the PR-5
 # caching headline. BM_PackedFsim and the *_packed rows of
-# BM_SeqFaultSimEngines measure the bit-parallel PPSFP engine: compare
-# s5378_packed gate_evals_per_sweep against s5378_conediff for the PR-6
-# (>=5x) reduction headline. BM_ServeThroughput drives submit_batch
-# through svc::CampaignService (cold / warm store / coalesced duplicates):
+# BM_SeqFaultSimEngines measure the bit-parallel PPSFP production engine:
+# compare them with the *_fullsweep reference rows. BM_ServeThroughput
+# drives submit_batch through svc::CampaignService (cold / warm store /
+# coalesced duplicates):
 # compare cold vs warm real_time for the store payoff and the coalesced
 # rows' requests/s + svc.coalesced_per_batch for the single-flight dedup
 # headline (PR-7; generate with `-f ServeThroughput -o BENCH_PR7.json`).
