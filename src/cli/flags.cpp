@@ -7,7 +7,8 @@
 
 namespace rls::cli {
 
-std::uint64_t parse_uint(const std::string& what, const std::string& text) {
+std::uint64_t parse_uint(const std::string& what, const std::string& text,
+                         std::uint64_t max) {
   // strtoull is too permissive here: it skips leading whitespace, accepts a
   // sign (wrapping "-5" to 2^64-5), and honors locale quirks. Digits only.
   if (text.empty()) {
@@ -20,8 +21,9 @@ std::uint64_t parse_uint(const std::string& what, const std::string& text) {
                       "'");
     }
     const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) {
-      throw FlagError(what + " value out of range: '" + text + "'");
+    if (digit > max || v > (max - digit) / 10) {
+      throw FlagError(what + " value out of range: '" + text +
+                      "' (expects 0.." + std::to_string(max) + ")");
     }
     v = v * 10 + digit;
   }
@@ -30,52 +32,50 @@ std::uint64_t parse_uint(const std::string& what, const std::string& text) {
 
 namespace {
 
-void assign(const std::string& flag, std::uint64_t* out,
-            const std::string& text) {
-  *out = parse_uint("--" + flag, text);
-}
-
-void assign(const std::string& flag, double* out, const std::string& text) {
+void assign(const std::string& flag, const std::string& text, double* out) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   // strtod skips leading whitespace; a padded value is a quoting mistake.
   if (text.empty() || std::isspace(static_cast<unsigned char>(text.front())) ||
       *end != '\0' || errno == ERANGE) {
-    throw FlagError("--" + flag + " expects a number, got '" + text + "'");
+    throw FlagError(flag + " expects a number, got '" + text + "'");
   }
   *out = v;
 }
 
-void assign(const std::string& flag, bool* out, const std::string& text) {
+void assign(const std::string& flag, const std::string& text, bool* out) {
   if (text == "1" || text == "true") {
     *out = true;
   } else if (text == "0" || text == "false") {
     *out = false;
   } else {
-    throw FlagError("--" + flag + " expects 0/1/true/false, got '" + text +
-                    "'");
+    throw FlagError(flag + " expects 0/1/true/false, got '" + text + "'");
   }
 }
 
 }  // namespace
 
 void FlagParser::add_bool(std::string name, bool* out, std::string help) {
-  specs_.push_back({std::move(name), Kind::kBool, out, std::move(help)});
-}
-
-void FlagParser::add_uint(std::string name, std::uint64_t* out,
-                          std::string help) {
-  specs_.push_back({std::move(name), Kind::kUint, out, std::move(help)});
+  specs_.push_back({std::move(name), true, std::move(help),
+                    [out](const std::string& flag, const std::string& text) {
+                      assign(flag, text, out);
+                    }});
 }
 
 void FlagParser::add_double(std::string name, double* out, std::string help) {
-  specs_.push_back({std::move(name), Kind::kDouble, out, std::move(help)});
+  specs_.push_back({std::move(name), false, std::move(help),
+                    [out](const std::string& flag, const std::string& text) {
+                      assign(flag, text, out);
+                    }});
 }
 
 void FlagParser::add_string(std::string name, std::string* out,
                             std::string help) {
-  specs_.push_back({std::move(name), Kind::kString, out, std::move(help)});
+  specs_.push_back({std::move(name), false, std::move(help),
+                    [out](const std::string&, const std::string& text) {
+                      *out = text;
+                    }});
 }
 
 const FlagParser::Spec* FlagParser::find(std::string_view name) const {
@@ -104,34 +104,15 @@ std::vector<std::string> FlagParser::parse(int argc, const char* const* argv,
         arg.substr(2, eq == std::string::npos ? std::string::npos : eq - 2);
     const Spec* spec = find(name);
     if (!spec) throw FlagError("unknown flag: " + arg);
-    std::string value;
-    bool has_value = eq != std::string::npos;
-    if (has_value) {
+    std::string value = "1";  // a bare boolean switch
+    if (eq != std::string::npos) {
       value = arg.substr(eq + 1);
-    } else if (spec->kind != Kind::kBool) {
+    } else if (!spec->is_bool) {
       // Valued flag without "=": consume the next argument.
       if (i + 1 >= argc) throw FlagError("--" + name + " needs a value");
       value = argv[++i];
-      has_value = true;
     }
-    switch (spec->kind) {
-      case Kind::kBool:
-        if (has_value) {
-          assign(name, static_cast<bool*>(spec->out), value);
-        } else {
-          *static_cast<bool*>(spec->out) = true;
-        }
-        break;
-      case Kind::kUint:
-        assign(name, static_cast<std::uint64_t*>(spec->out), value);
-        break;
-      case Kind::kDouble:
-        assign(name, static_cast<double*>(spec->out), value);
-        break;
-      case Kind::kString:
-        *static_cast<std::string*>(spec->out) = value;
-        break;
-    }
+    spec->set("--" + name, value);
   }
   return positional;
 }
@@ -140,7 +121,7 @@ std::string FlagParser::help() const {
   std::string out;
   for (const Spec& s : specs_) {
     out += "  --" + s.name;
-    if (s.kind != Kind::kBool) out += "=<v>";
+    if (!s.is_bool) out += "=<v>";
     if (!s.help.empty()) {
       out += "  ";
       out += s.help;

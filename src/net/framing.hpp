@@ -54,11 +54,6 @@ class LineSplitter {
   /// buffered (a sender that omits the last '\n' still gets served).
   [[nodiscard]] std::optional<std::string> finish();
 
-  /// Bytes buffered waiting for a '\n'.
-  [[nodiscard]] std::size_t buffered() const noexcept {
-    return partial_.size();
-  }
-
  private:
   [[nodiscard]] static std::string_view strip_cr(std::string_view line) {
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);

@@ -9,12 +9,9 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
-#include "net/framing.hpp"
+#include "net/session.hpp"
 
 namespace rls::net {
 
@@ -22,37 +19,20 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
-bool is_blank(std::string_view line) {
-  return line.find_first_not_of(" \t\r") == std::string_view::npos;
-}
-
 }  // namespace
-
-/// One slot in a connection's ordered response queue: either a future
-/// still being computed by the service, or an already-final envelope
-/// (parse errors, admission rejections, frame errors).
-struct NetServer::Pending {
-  std::shared_future<svc::CampaignResponse> future;
-  svc::CampaignResponse ready;
-  bool is_ready = false;
-};
 
 struct NetServer::Connection {
   std::uint64_t id = 0;
   int fd = -1;
   std::thread reader, writer;
-
-  std::mutex mu;                ///< pending + read_done
-  std::condition_variable cv;   ///< reader -> writer wakeups
-  std::deque<Pending> pending;
-  bool read_done = false;
+  /// The reader feeds it; the writer pops envelopes from it.
+  std::unique_ptr<Session> session;
 
   /// Set by the writer when it force-closed the socket (overflow, peer
   /// reset, drain timeout): tells the reader to stop even mid-stream.
   std::atomic<bool> dead{false};
   std::atomic<bool> reader_exited{false};
   std::atomic<bool> writer_exited{false};
-  std::uint64_t lines = 0;  ///< reader-only: input line number
 };
 
 NetServer::NetServer(svc::CampaignService& service, NetConfig cfg)
@@ -129,20 +109,6 @@ void NetServer::emit_rr(std::uint64_t conn_id, const svc::RequestId& id,
   sink_->write(ev);
 }
 
-void NetServer::write_stream_file(const svc::CampaignResponse& resp) {
-  if (cfg_.stream_dir.empty() || !resp.ok) return;
-  std::error_code ec;
-  std::filesystem::create_directories(cfg_.stream_dir, ec);  // best effort
-  std::string name;
-  for (const char c : resp.id) {
-    name.push_back(c == '/' ? '_' : c);  // ids may not escape the dir
-  }
-  std::ofstream out(cfg_.stream_dir + "/" + name + ".jsonl",
-                    std::ios::binary | std::ios::trunc);
-  out.write(resp.stream.data(),
-            static_cast<std::streamsize>(resp.stream.size()));
-}
-
 void NetServer::accept_loop() {
   for (;;) {
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
@@ -170,6 +136,9 @@ void NetServer::accept_loop() {
       c->id = next_conn_id_++;
       counters_.add("net.accepted", 1);
     }
+    c->session = std::make_unique<Session>(
+        service_, "conn" + std::to_string(c->id), cfg_.max_line_bytes,
+        [this](const char* name) { count(name); });
     emit_conn(c->id, "open", "");
     c->reader = std::thread([this, c] { reader_loop(*c); });
     c->writer = std::thread([this, c] { writer_loop(*c); });
@@ -182,64 +151,7 @@ void NetServer::accept_loop() {
 }
 
 void NetServer::reader_loop(Connection& conn) {
-  LineSplitter splitter(cfg_.max_line_bytes);
   char buf[1 << 16];
-
-  const auto push = [&](Pending item) {
-    {
-      std::lock_guard<std::mutex> lk(conn.mu);
-      conn.pending.push_back(std::move(item));
-    }
-    conn.cv.notify_one();
-  };
-  const auto push_error = [&](svc::RequestId id, std::string what,
-                              const char* code, std::uint64_t retry_hint) {
-    Pending item;
-    item.is_ready = true;
-    item.ready.id = std::move(id);
-    item.ready.ok = false;
-    item.ready.error = std::move(what);
-    item.ready.error_code = code;
-    item.ready.retry_after_hint = retry_hint;
-    push(std::move(item));
-  };
-  // One NDJSON line: a campaign request (-> ordered pending future), a
-  // cancel control line (no response slot — the cancellation outcome is
-  // observable on the *target's* envelope), or a typed error envelope.
-  // Returns false when the connection must stop reading (frame error).
-  const auto handle_line = [&](std::string_view line) {
-    ++conn.lines;
-    if (is_blank(line)) return;
-    const std::string origin =
-        "conn" + std::to_string(conn.id) + ":" + std::to_string(conn.lines);
-    try {
-      svc::ParsedLine parsed = svc::parse_line(line, origin);
-      if (parsed.cancel) {
-        count("net.cancels");
-        service_.cancel(parsed.cancel->target);
-        return;
-      }
-      count("net.requests");
-      Pending item;
-      item.future = service_.submit(std::move(*parsed.request));
-      push(std::move(item));
-    } catch (const svc::QueueFullError& e) {
-      count("net.requests");
-      push_error(e.id, e.what(), svc::error_code::kQueueFull,
-                 e.retry_after_hint);
-    } catch (const svc::ServiceStoppedError& e) {
-      count("net.requests");
-      push_error("line" + std::to_string(conn.lines), e.what(),
-                 svc::error_code::kDrained, 25);
-    } catch (const std::exception& e) {
-      // Parse / validation errors (RequestError, JsonError).
-      count("net.requests");
-      push_error("line" + std::to_string(conn.lines), e.what(),
-                 svc::error_code::kRequest, 0);
-    }
-  };
-
-  bool frame_failed = false;
   while (!conn.dead.load(std::memory_order_acquire) &&
          !stopping_.load(std::memory_order_acquire)) {
     pollfd fds[2] = {{conn.fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
@@ -257,35 +169,16 @@ void NetServer::reader_loop(Connection& conn) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       break;
     }
-    if (n == 0) {  // orderly EOF: flush any final unterminated line
-      try {
-        if (const auto last = splitter.finish()) handle_line(*last);
-      } catch (const FrameError& e) {
-        count("net.frame_errors");
-        push_error("", e.what(), svc::error_code::kFrame, 0);
-      }
+    if (n == 0) {  // orderly EOF: serve any final unterminated line
+      conn.session->finish();
       break;
     }
     count("net.bytes_in", static_cast<std::uint64_t>(n));
-    try {
-      splitter.feed(std::string_view(buf, static_cast<std::size_t>(n)),
-                    handle_line);
-    } catch (const FrameError& e) {
-      // A framing violation poisons the rest of the stream: answer with
-      // one typed envelope, stop reading, let the writer flush and
-      // half-close.
-      count("net.frame_errors");
-      push_error("", e.what(), svc::error_code::kFrame, 0);
-      frame_failed = true;
-      break;
-    }
+    // false after a frame error: the session queued its typed envelope;
+    // stop reading and let the writer flush and half-close.
+    if (!conn.session->feed({buf, static_cast<std::size_t>(n)})) break;
   }
-  (void)frame_failed;
-  {
-    std::lock_guard<std::mutex> lk(conn.mu);
-    conn.read_done = true;
-  }
-  conn.cv.notify_one();
+  conn.session->close();
   conn.reader_exited.store(true, std::memory_order_release);
 }
 
@@ -304,42 +197,16 @@ void NetServer::writer_loop(Connection& conn) {
       drain_deadline = std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(cfg_.drain_flush_ms);
     }
-    // 1. Resolve the connection's oldest unanswered request, keeping
-    //    strict admission order.
-    std::shared_future<svc::CampaignResponse> fut;
+    // 1. Take the session's next envelope in admission order, blocking
+    //    only while there is nothing to flush.
     svc::CampaignResponse resp;
-    bool have = false;
-    bool finished = false;
-    {
-      std::unique_lock<std::mutex> lk(conn.mu);
-      if (!conn.pending.empty()) {
-        Pending& front = conn.pending.front();
-        if (front.is_ready) {
-          resp = std::move(front.ready);
-          conn.pending.pop_front();
-          have = true;
-        } else {
-          fut = front.future;
-        }
-      } else if (conn.read_done && outbuf.empty()) {
-        finished = true;
-      } else if (outbuf.empty()) {
-        conn.cv.wait_for(lk, poll_iv);  // idle: wait for the reader
-      }
-    }
-    if (finished) break;
-    if (!have && fut.valid()) {
-      // Block on the future only while there is nothing to flush.
-      const auto wait = outbuf.empty() ? poll_iv : std::chrono::milliseconds(0);
-      if (fut.wait_for(wait) == std::future_status::ready) {
-        resp = fut.get();
-        have = true;
-        std::lock_guard<std::mutex> lk(conn.mu);
-        conn.pending.pop_front();
-      }
-    }
+    const Session::Next got = conn.session->next(
+        resp, outbuf.empty() ? poll_iv : std::chrono::milliseconds(0));
+    if (got == Session::Next::kDone && outbuf.empty()) break;
+    const bool have = got == Session::Next::kEnvelope;
     if (have) {
-      write_stream_file(resp);
+      // Best effort: a stream-file failure must not drop the envelope.
+      (void)svc::write_stream_file(cfg_.stream_dir, resp);
       emit_rr(conn.id, resp.id, resp.ok);
       outbuf += resp.to_json();
       outbuf.push_back('\n');
@@ -378,12 +245,7 @@ void NetServer::writer_loop(Connection& conn) {
     // 4. Drain deadline: a client that will not take its final bytes
     //    cannot hold shutdown hostage.
     if (deadline_set && std::chrono::steady_clock::now() > drain_deadline) {
-      bool flushed;
-      {
-        std::lock_guard<std::mutex> lk(conn.mu);
-        flushed = conn.pending.empty() && outbuf.empty();
-      }
-      if (!flushed) {
+      if (conn.session->pending() > 0 || !outbuf.empty()) {
         close_reason = "drain_timeout";
         force_close = true;
         break;
@@ -396,6 +258,10 @@ void NetServer::writer_loop(Connection& conn) {
     }
   }
 
+  // Counted before the peer can see EOF, so a client that reads to EOF
+  // and then asks for the counters always finds its disconnect.
+  count("net.disconnects");
+  emit_conn(conn.id, "close", close_reason);
   if (force_close) {
     // Unblock the reader (and the peer) immediately; undelivered
     // responses are dropped — their executions finish in the service
@@ -407,8 +273,6 @@ void NetServer::writer_loop(Connection& conn) {
     // so the client reading our stream sees EOF after the last byte.
     ::shutdown(conn.fd, SHUT_WR);
   }
-  count("net.disconnects");
-  emit_conn(conn.id, "close", close_reason);
   conn.writer_exited.store(true, std::memory_order_release);
 }
 
@@ -456,7 +320,6 @@ void NetServer::shutdown() {
     conns.swap(connections_);
   }
   for (const auto& c : conns) {
-    c->cv.notify_all();
     if (c->reader.joinable()) c->reader.join();
     if (c->writer.joinable()) c->writer.join();
     ::close(c->fd);

@@ -1,26 +1,24 @@
 // NetServer — the TCP front end of the campaign service (DESIGN.md §16).
 //
 // A dependency-free POSIX-sockets NDJSON server layered on
-// svc::CampaignService. The wire protocol is byte-identical to `rls
-// serve` stdin: one CampaignRequest (or cancel control line) per line
-// in, one CampaignResponse envelope per line out, responses in
-// per-connection admission order. Because the service coalesces across
-// submitters, N connections asking for the same campaign still run it
-// once — the transport adds no new semantics, only reach.
+// svc::CampaignService. Each connection is one net::Session — the same
+// Session `rls serve` runs on stdin — so the wire protocol, the typed
+// error envelopes and the response order are those of stdin: one
+// CampaignRequest (or cancel control line) per line in, one
+// CampaignResponse envelope per line out, in per-connection admission
+// order. Because the service coalesces across submitters, N connections
+// asking for the same campaign still run it once — the transport adds no
+// new semantics, only reach.
 //
 // Threading model (per connection, both joined by the reaper):
-//   * a reader thread: recv → LineSplitter → parse_line → submit() /
-//     cancel(). Each accepted request's shared_future is pushed onto the
-//     connection's ordered pending queue; parse and admission errors
-//     push an immediately-ready error envelope instead, so the response
-//     order always matches the request order.
-//   * a writer thread: pops pending entries in order, waits for the
-//     future, serializes the envelope + '\n' and sends it with
-//     non-blocking writes. Bytes a slow client has not accepted
-//     accumulate in a bounded buffer; past max_write_buffer the
-//     connection is disconnected with a typed overflow
-//     (net.overflow_disconnects) — a dead client never blocks the
-//     scheduler or pins unbounded memory.
+//   * a reader thread: recv → Session::feed (framing, parse_line,
+//     submit() / cancel(), typed error envelopes in the request's slot).
+//   * a writer thread: Session::next pops envelopes in order as they
+//     resolve, serializes each + '\n' and sends it with non-blocking
+//     writes. Bytes a slow client has not accepted accumulate in a
+//     bounded buffer; past max_write_buffer the connection is
+//     disconnected with a typed overflow (net.overflow_disconnects) — a
+//     dead client never blocks the scheduler or pins unbounded memory.
 //
 // Observability: net.* counters (accepted, disconnects,
 // overflow_disconnects, requests, responses, cancels, frame_errors,
@@ -40,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -112,7 +109,6 @@ class NetServer {
   [[nodiscard]] std::size_t active_connections() const;
 
  private:
-  struct Pending;
   struct Connection;
 
   void accept_loop();
@@ -123,7 +119,6 @@ class NetServer {
   void emit_conn(std::uint64_t conn_id, const char* action,
                  const std::string& reason);
   void emit_rr(std::uint64_t conn_id, const svc::RequestId& id, bool ok);
-  void write_stream_file(const svc::CampaignResponse& resp);
 
   svc::CampaignService& service_;
   NetConfig cfg_;

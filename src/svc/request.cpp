@@ -1,6 +1,8 @@
 #include "svc/request.hpp"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 
 #include "fault/seq_fsim.hpp"
@@ -337,6 +339,30 @@ std::string CampaignResponse::to_json() const {
   }
   out += '}';
   return out;
+}
+
+CampaignResponse error_response(RequestId id, std::string what,
+                                const char* code, std::uint64_t retry_hint) {
+  CampaignResponse resp;
+  resp.id = std::move(id);
+  resp.ok = false;
+  resp.error = std::move(what);
+  resp.error_code = code;
+  resp.retry_after_hint = retry_hint;
+  return resp;
+}
+
+bool write_stream_file(const std::string& dir, const CampaignResponse& resp) {
+  if (dir.empty() || !resp.ok) return true;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);  // best effort
+  std::string name = resp.id;
+  std::replace(name.begin(), name.end(), '/', '_');
+  std::ofstream out(dir + "/" + name + ".jsonl",
+                    std::ios::binary | std::ios::trunc);
+  out.write(resp.stream.data(),
+            static_cast<std::streamsize>(resp.stream.size()));
+  return out.good();
 }
 
 }  // namespace rls::svc

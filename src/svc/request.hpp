@@ -165,4 +165,16 @@ struct CampaignResponse {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// The one constructor of a typed error envelope (`ok:false` with an
+/// error_code::k* discriminator and an optional back-off hint in ms).
+[[nodiscard]] CampaignResponse error_response(RequestId id, std::string what,
+                                              const char* code,
+                                              std::uint64_t retry_hint = 0);
+
+/// Writes a successful response's JSONL stream to "<dir>/<id>.jsonl",
+/// creating `dir` if needed ('/' in ids maps to '_' so an id cannot
+/// escape the directory). No-op when `dir` is empty or `resp` is an
+/// error. Returns false when the file cannot be written.
+bool write_stream_file(const std::string& dir, const CampaignResponse& resp);
+
 }  // namespace rls::svc

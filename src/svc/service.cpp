@@ -41,18 +41,6 @@ netlist::Netlist load_circuit(const std::string& which) {
   return netlist::load_bench_file(which);
 }
 
-CampaignResponse error_response(RequestId id, std::string what,
-                                const char* code = error_code::kRun,
-                                std::uint64_t retry_hint = 0) {
-  CampaignResponse resp;
-  resp.id = std::move(id);
-  resp.ok = false;
-  resp.error = std::move(what);
-  resp.error_code = code;
-  resp.retry_after_hint = retry_hint;
-  return resp;
-}
-
 /// Deterministic client back-off suggestion: scales with how deep the
 /// queue was when the request bounced, so herds thin out instead of
 /// hammering a full service in lockstep.
@@ -247,9 +235,10 @@ bool CampaignService::step(unsigned /*worker*/) {
   try {
     base = execute(*ex);
   } catch (const std::exception& e) {
-    base = error_response(ex->leader_id, e.what());
+    base = error_response(ex->leader_id, e.what(), error_code::kRun);
   } catch (...) {
-    base = error_response(ex->leader_id, "unknown execution error");
+    base = error_response(ex->leader_id, "unknown execution error",
+                          error_code::kRun);
   }
   finish(ex, std::move(base));
   return true;
@@ -330,7 +319,7 @@ CampaignResponse CampaignService::execute(const Execution& ex) {
   } catch (const RequestError& e) {
     resp = error_response(ex.leader_id, e.what(), error_code::kRequest);
   } catch (const std::exception& e) {
-    resp = error_response(ex.leader_id, e.what());
+    resp = error_response(ex.leader_id, e.what(), error_code::kRun);
   }
   return resp;
 }

@@ -224,6 +224,34 @@ TEST(CliFlags, EngineFlagParsesBothEnginesAndNamesValidSet) {
   EXPECT_FALSE(fault::parse_engine("conediff").has_value());
 }
 
+TEST(CliFlags, UintFlagsRangeCheckAgainstTheirDestinationType) {
+  FlagParser fp;
+  std::uint32_t iters = 0;
+  std::uint8_t small = 0;
+  std::uint64_t wide = 0;
+  fp.add_uint("iters", &iters);
+  fp.add_uint("small", &small);
+  fp.add_uint("wide", &wide);
+
+  parse(fp, {"--iters=4294967295", "--small=255",
+             "--wide=18446744073709551615"});
+  EXPECT_EQ(iters, 4294967295u);
+  EXPECT_EQ(small, 255u);
+  EXPECT_EQ(wide, UINT64_MAX);
+
+  try {
+    parse(fp, {"--iters=4294967296"});
+    FAIL() << "4294967296 does not fit a uint32_t";
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(),
+                 "--iters value out of range: '4294967296' "
+                 "(expects 0..4294967295)");
+  }
+  EXPECT_THROW(parse(fp, {"--small=256"}), FlagError);
+  EXPECT_EQ(iters, 4294967295u);  // a rejected value writes nothing
+  EXPECT_EQ(small, 255u);
+}
+
 #ifdef RLS_CLI_PATH
 
 /// Runs the real `rls` binary with `args` (stderr folded into stdout);
@@ -252,6 +280,36 @@ TEST(CliEngine, RetiredConediffEngineIsATypedUsageError) {
             std::string::npos)
       << out;
   EXPECT_NE(out.find("conediff"), std::string::npos) << out;
+}
+
+/// `rls` arguments that overflowed a narrower destination used to wrap
+/// silently (4294967296 -> 0, 4294967297 -> 1); each must now be a usage
+/// error naming the flag and its range, while the field's own maximum
+/// still gets through.
+TEST(CliRange, NarrowedFlagsAreCheckedAgainstTheirField) {
+  for (const char* args :
+       {"run s27 --threads=4294967296 --dump-request",
+        "run s27 --combo-jobs=4294967297 --dump-request",
+        "run s27 --max-iters=4294967296 --dump-request",
+        "serve --workers=4294967296 </dev/null",
+        "fuzz --jobs=4294967296 --seeds=0"}) {
+    const auto [status, out] = run_rls(args);
+    EXPECT_EQ(status, 64) << args << "\n" << out;
+    EXPECT_NE(out.find("value out of range"), std::string::npos)
+        << args << "\n" << out;
+    EXPECT_NE(out.find("(expects 0..4294967295)"), std::string::npos)
+        << args << "\n" << out;
+  }
+
+  const auto [status, out] = run_rls(
+      "run s27 --threads=4294967295 --combo-jobs=4294967295 "
+      "--max-iters=4294967295 --dump-request");
+  EXPECT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("\"threads\":4294967295,\"combo_jobs\":4294967295"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"max_iterations\":4294967295"), std::string::npos)
+      << out;
 }
 
 #endif  // RLS_CLI_PATH

@@ -26,9 +26,12 @@
 //   --trace=FILE                  JSONL event stream ("-" = stdout)
 //   --progress                    live status lines on stderr
 //
+// Unsigned flags are range-checked against the field they fill.
+//
 // `run`, `batch` and `serve` all route through svc::CampaignService —
 // `rls run` builds a svc::CampaignRequest from its flags (print it with
-// --dump-request) and executes it synchronously.
+// --dump-request) and executes it synchronously. Both `serve` front
+// doors (stdin, and each `--listen` connection) are one net::Session.
 #include <poll.h>
 #include <signal.h>
 #include <unistd.h>
@@ -37,14 +40,13 @@
 #include <chrono>
 #include <cerrno>
 #include <cstdio>
-#include <deque>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "analysis/cop.hpp"
 #include "analysis/lint.hpp"
@@ -56,8 +58,8 @@
 #include "fuzz/fuzz.hpp"
 #include "gen/registry.hpp"
 #include "net/client.hpp"
-#include "net/framing.hpp"
 #include "net/server.hpp"
+#include "net/session.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/stats.hpp"
 #include "netlist/validate.hpp"
@@ -91,7 +93,7 @@ netlist::Netlist load(const std::string& which) {
 /// RunContext after parsing (the sinks outlive the returned object).
 struct CommonFlags {
   std::string engine = "packed";
-  std::uint64_t threads = 0;
+  unsigned threads = 0;
   std::uint64_t seed = 0;
   bool have_seed = false;
   std::string trace;
@@ -123,7 +125,7 @@ struct CommonFlags {
                            std::string(fault::engine_choices()) + ", got '" +
                            engine + "'");
     }
-    opts.p2.sim_threads = static_cast<unsigned>(threads);
+    opts.p2.sim_threads = threads;
   }
 
   /// Opens the trace/progress sinks and wires them into the context.
@@ -249,7 +251,9 @@ int cmd_tables(const std::string& which, CommonFlags& common) {
 
 /// `rls run` flags beyond the common set (all svc-request fields).
 struct RunFlags {
-  std::uint64_t la = 0, lb = 0, n = 0, max_iters = 0, combo_jobs = 1;
+  std::uint64_t la = 0, lb = 0, n = 0;
+  std::uint32_t max_iters = 0;
+  unsigned combo_jobs = 1;
   bool d1_desc = false;
   bool prune_untestable = false;
   std::string store_dir;
@@ -298,12 +302,11 @@ int cmd_run(const std::string& which, CommonFlags& common,
   req.n = flags.n;
   common.apply_options(req.options);
   if (flags.max_iters > 0) {
-    req.options.p2.max_iterations =
-        static_cast<std::uint32_t>(flags.max_iters);
+    req.options.p2.max_iterations = flags.max_iters;
   }
   if (flags.d1_desc) req.options.p2.d1_order = {10, 9, 8, 7, 6, 5, 4, 3, 2, 1};
   req.options.prune_untestable = flags.prune_untestable;
-  req.options.combo_jobs = static_cast<unsigned>(flags.combo_jobs);
+  req.options.combo_jobs = flags.combo_jobs;
   req.timing = flags.timing;
   if (flags.dump_request) {
     std::printf("%s\n", req.canonical_json().c_str());
@@ -377,16 +380,16 @@ int cmd_run(const std::string& which, CommonFlags& common,
 struct SvcFlags {
   std::string store_dir;
   std::string stream_dir;
-  std::uint64_t workers = 1;
-  std::uint64_t queue_cap = 64;
+  unsigned workers = 1;
+  std::size_t queue_cap = 64;
   std::uint64_t gc_shard_bytes = 0;
   bool resume = false;
   // serve-only (ignored by batch):
   std::string listen;  ///< TCP port to listen on ("" = stdin mode)
   std::string bind = "127.0.0.1";
   std::string trace;   ///< net_conn/net_rr JSONL sink (TCP mode)
-  std::uint64_t max_line_bytes = 1 << 20;
-  std::uint64_t max_write_buffer = 4u << 20;
+  std::size_t max_line_bytes = 1 << 20;
+  std::size_t max_write_buffer = 4u << 20;
 
   void add_to(cli::FlagParser& fp, bool serve) {
     fp.add_string("store-dir", &store_dir,
@@ -431,8 +434,8 @@ struct SvcFlags {
     }
     svc::ServiceConfig cfg;
     cfg.store_dir = store_dir;
-    cfg.workers = static_cast<unsigned>(workers);
-    cfg.queue_capacity = static_cast<std::size_t>(queue_cap);
+    cfg.workers = workers;
+    cfg.queue_capacity = queue_cap;
     cfg.resume = resume;
     cfg.gc_shard_bytes = gc_shard_bytes;
     return cfg;
@@ -440,46 +443,32 @@ struct SvcFlags {
 };
 
 /// Emits one response: the envelope on stdout (NDJSON), the stream to
-/// --stream-dir when given. Returns resp.ok.
+/// --stream-dir when given. Returns false when either failed.
 bool emit_response(const svc::CampaignResponse& resp,
                    const std::string& stream_dir) {
-  if (!stream_dir.empty() && resp.ok) {
-    std::error_code ec;
-    std::filesystem::create_directories(stream_dir, ec);  // best effort
-    std::string name;
-    for (const char c : resp.id) {
-      name.push_back(c == '/' ? '_' : c);  // ids may not escape the dir
-    }
-    write_stream(stream_dir + "/" + name + ".jsonl", resp.stream);
+  const bool streamed = svc::write_stream_file(stream_dir, resp);
+  if (!streamed) {
+    std::fprintf(stderr, "rls: cannot write the stream of \"%s\" to '%s'\n",
+                 resp.id.c_str(), stream_dir.c_str());
   }
   std::printf("%s\n", resp.to_json().c_str());
   std::fflush(stdout);
-  return resp.ok;
+  return resp.ok && streamed;
 }
 
-svc::CampaignResponse parse_error_response(
-    std::string id, std::string what,
-    std::string code = svc::error_code::kRequest,
-    std::uint64_t retry_after_hint = 0) {
-  svc::CampaignResponse resp;
-  resp.id = std::move(id);
-  resp.ok = false;
-  resp.error = std::move(what);
-  resp.error_code = std::move(code);
-  resp.retry_after_hint = retry_after_hint;
-  return resp;
+/// The request source of `batch` and `client`: FILE, or stdin for "-".
+std::istream& open_requests(const std::string& file, std::ifstream& fin) {
+  if (file == "-") return std::cin;
+  fin.open(file);
+  if (!fin.good()) {
+    throw std::runtime_error("cannot read request file '" + file + "'");
+  }
+  return fin;
 }
 
 int cmd_batch(const std::string& file, const SvcFlags& flags) {
   std::ifstream fin;
-  std::istream* in = &std::cin;
-  if (file != "-") {
-    fin.open(file);
-    if (!fin.good()) {
-      throw std::runtime_error("cannot read request file '" + file + "'");
-    }
-    in = &fin;
-  }
+  std::istream& in = open_requests(file, fin);
   // One entry per input line: a parsed request or an immediate parse
   // error. Requests are admitted as one batch (single admission lock) so
   // duplicate keys coalesce deterministically.
@@ -490,7 +479,7 @@ int cmd_batch(const std::string& file, const SvcFlags& flags) {
   std::vector<Entry> entries;
   std::string line;
   std::size_t lineno = 0;
-  while (std::getline(*in, line)) {
+  while (std::getline(in, line)) {
     ++lineno;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     Entry e;
@@ -498,8 +487,9 @@ int cmd_batch(const std::string& file, const SvcFlags& flags) {
     try {
       e.req = svc::parse_request(line, origin);
     } catch (const std::exception& err) {
-      e.parse_error = parse_error_response("line" + std::to_string(lineno),
-                                           err.what());
+      e.parse_error = svc::error_response("line" + std::to_string(lineno),
+                                          err.what(),
+                                          svc::error_code::kRequest);
     }
     entries.push_back(std::move(e));
   }
@@ -545,134 +535,75 @@ void install_stop_handlers() {
   ::signal(SIGPIPE, SIG_IGN);  // dead clients are per-connection events
 }
 
-/// stdin front end: NDJSON on stdin, envelopes on stdout. Shares the
-/// framing (LineSplitter), line dispatch (parse_line: requests + cancel
-/// control lines) and drain semantics with the TCP front end, so a
-/// SIGTERM'd server leaves the same store state either way and
+/// stdin front end: NDJSON on stdin, envelopes on stdout. The same
+/// net::Session a TCP connection runs — framing, line dispatch, typed
+/// error envelopes, admission-order responses — fed from fd 0 by this
+/// thread, while one writer thread prints each envelope as soon as it
+/// resolves. A stop signal runs the same graceful drain as TCP mode, so
+/// a SIGTERM'd server leaves the same store state either way and
 /// `--resume` picks up identically.
 int serve_stdin(svc::CampaignService& service, const SvcFlags& flags) {
-  std::deque<std::shared_future<svc::CampaignResponse>> pending;
-  bool all_ok = true;
-  // Responses print in admission order; completed leaders are drained
-  // after every accepted chunk so a long-lived session streams results
-  // instead of buffering them until EOF.
-  const auto drain = [&](bool block) {
-    while (!pending.empty()) {
-      if (!block && pending.front().wait_for(std::chrono::seconds(0)) !=
-                        std::future_status::ready) {
+  net::Session session(service, "stdin", flags.max_line_bytes);
+  bool all_ok = true;  // writer-owned until the join
+  std::thread writer([&] {
+    svc::CampaignResponse resp;
+    for (;;) {
+      const net::Session::Next got =
+          session.next(resp, std::chrono::seconds(1));
+      if (got == net::Session::Next::kDone) return;
+      if (got == net::Session::Next::kEnvelope) {
+        all_ok = emit_response(resp, flags.stream_dir) && all_ok;
+      }
+    }
+  });
+
+  bool stop_requested = false;
+  try {
+    for (;;) {
+      pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {g_sig_pipe[0], POLLIN, 0}};
+      if (::poll(fds, 2, -1) < 0) {
+        if (errno == EINTR) continue;
         break;
       }
-      all_ok = emit_response(pending.front().get(), flags.stream_dir) &&
-               all_ok;
-      pending.pop_front();
-    }
-  };
-  std::size_t lineno = 0;
-  const auto handle_line = [&](std::string_view line) {
-    ++lineno;
-    if (line.find_first_not_of(" \t") == std::string_view::npos) return;
-    const std::string origin = "stdin:" + std::to_string(lineno);
-    try {
-      svc::ParsedLine parsed = svc::parse_line(line, origin);
-      if (parsed.cancel) {
-        // No envelope for the control line itself — the outcome shows
-        // up on the *target* request's envelope (typed `cancelled` when
-        // it was still queued, the normal result when already running).
-        service.cancel(parsed.cancel->target);
-        return;
+      if (fds[1].revents != 0) {
+        stop_requested = true;
+        break;
       }
-      pending.push_back(service.submit(std::move(*parsed.request)));
-    } catch (const svc::QueueFullError& e) {
-      all_ok = emit_response(
-                   parse_error_response(e.id, e.what(),
-                                        svc::error_code::kQueueFull,
-                                        e.retry_after_hint),
-                   flags.stream_dir) &&
-               all_ok;
-    } catch (const std::exception& e) {
-      all_ok = emit_response(
-                   parse_error_response("line" + std::to_string(lineno),
-                                        e.what()),
-                   flags.stream_dir) &&
-               all_ok;
+      if (fds[0].revents == 0) continue;
+      char buf[1 << 16];
+      const ssize_t n = ::read(STDIN_FILENO, buf, sizeof buf);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0 || !session.feed({buf, static_cast<std::size_t>(n)})) break;
     }
-  };
-
-  net::LineSplitter splitter(flags.max_line_bytes);
-  bool stop_requested = false;
-  bool eof = false;
-  while (!stop_requested && !eof) {
-    pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {g_sig_pipe[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      eof = true;
-      break;
-    }
-    if (fds[1].revents != 0) {
-      stop_requested = true;
-      break;
-    }
-    if (fds[0].revents == 0) continue;
-    char buf[1 << 16];
-    const ssize_t n = ::read(STDIN_FILENO, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      eof = true;
-      break;
-    }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    try {
-      splitter.feed({buf, static_cast<std::size_t>(n)}, handle_line);
-    } catch (const net::FrameError& e) {
-      // Framing is unrecoverable on a byte stream: the rest of the
-      // input has no trustworthy line boundaries.
-      all_ok = emit_response(
-                   parse_error_response("line" + std::to_string(lineno + 1),
-                                        e.what(), svc::error_code::kFrame),
-                   flags.stream_dir) &&
-               all_ok;
-      eof = true;
-    }
-    drain(/*block=*/false);
-  }
-  if (eof && !stop_requested) {
-    if (const std::optional<std::string> last = splitter.finish()) {
-      handle_line(*last);
-    }
+  } catch (...) {
+    session.close();  // let the writer finish before the error unwinds
+    writer.join();
+    throw;
   }
   if (stop_requested) {
     // The graceful-drain contract (same as TCP mode): stop admitting,
     // let claimed executions finish — their terminal checkpoints are
     // what `--resume` adopts on restart — and resolve queued-unclaimed
-    // requests with typed `drained` envelopes, flushed below.
+    // requests with typed `drained` envelopes, which the writer prints.
     service.drain();
+    session.close();
+  } else {
+    session.finish();  // EOF: serve a final unterminated line
   }
-  drain(/*block=*/true);
+  writer.join();
   return stop_requested ? 0 : (all_ok ? 0 : 1);
 }
 
 /// TCP front end: NetServer does the per-connection work; this thread
 /// just parks on the signal pipe, then runs the drain sequence.
 int serve_tcp(svc::CampaignService& service, const SvcFlags& flags) {
-  unsigned long port = 0;
-  try {
-    port = std::stoul(flags.listen);
-  } catch (const std::exception&) {
-    port = 65536;  // force the range error below
-  }
-  if (port > 65535) {
-    throw cli::FlagError("--listen wants a TCP port (0..65535), got '" +
-                         flags.listen + "'");
-  }
+  const std::uint64_t port = cli::parse_uint("--listen", flags.listen, 65535);
 
   net::NetConfig cfg;
   cfg.bind_address = flags.bind;
   cfg.port = static_cast<std::uint16_t>(port);
-  cfg.max_line_bytes = static_cast<std::size_t>(flags.max_line_bytes);
-  cfg.max_write_buffer = static_cast<std::size_t>(flags.max_write_buffer);
+  cfg.max_line_bytes = flags.max_line_bytes;
+  cfg.max_write_buffer = flags.max_write_buffer;
   cfg.stream_dir = flags.stream_dir;
   net::NetServer server(service, cfg);
 
@@ -711,20 +642,12 @@ int cmd_serve(const SvcFlags& flags) {
 
 int cmd_client(const std::string& host_port, const std::string& file) {
   std::ifstream fin;
-  std::istream* in = &std::cin;
-  if (file != "-") {
-    fin.open(file);
-    if (!fin.good()) {
-      throw std::runtime_error("cannot read request file '" + file + "'");
-    }
-    in = &fin;
-  }
+  std::istream& in = open_requests(file, fin);
   net::NetClient client(host_port);
   std::string line;
-  while (std::getline(*in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    client.send_line(line);
-  }
+  // Blank lines too: the server numbers lines exactly as `serve` does
+  // on stdin, so error ids ("line<N>") match the file's line numbers.
+  while (std::getline(in, line)) client.send_line(line);
   client.shutdown_write();
   bool all_ok = true;
   while (const std::optional<std::string> resp = client.recv_line()) {
@@ -743,8 +666,8 @@ struct LintFlags {
   bool json = false;
   bool no_resistance = false;
   double threshold = 0.5;
-  std::uint64_t la = 0, lb = 0, n = 0;
-  std::uint64_t max_resistant = 20;
+  std::size_t la = 0, lb = 0, n = 0;
+  std::size_t max_resistant = 20;
 
   void add_to(cli::FlagParser& fp) {
     fp.add_bool("json", &json, "emit diagnostics as JSONL on stdout");
@@ -763,10 +686,10 @@ struct LintFlags {
     analysis::LintOptions opts;
     opts.resistance = !no_resistance;
     opts.escape_threshold = threshold;
-    if (la) opts.budget.l_a = static_cast<std::size_t>(la);
-    if (lb) opts.budget.l_b = static_cast<std::size_t>(lb);
-    if (n) opts.budget.n = static_cast<std::size_t>(n);
-    opts.max_resistant_report = static_cast<std::size_t>(max_resistant);
+    if (la) opts.budget.l_a = la;
+    if (lb) opts.budget.l_b = lb;
+    if (n) opts.budget.n = n;
+    opts.max_resistant_report = max_resistant;
     return opts;
   }
 };
@@ -905,7 +828,7 @@ int cmd_analyze(const std::string& which, CommonFlags& common,
 struct FuzzFlags {
   std::uint64_t seeds = 100;
   std::uint64_t seed_begin = 0;
-  std::uint64_t jobs = 1;
+  unsigned jobs = 1;
   std::uint64_t work_budget = 50'000'000;
   bool no_shrink = false;
   std::string corpus_dir;
@@ -935,7 +858,7 @@ int cmd_fuzz(const FuzzFlags& flags) {
   fuzz::FuzzOptions opt;
   opt.seed_begin = flags.seed_begin;
   opt.num_seeds = flags.seeds;
-  opt.jobs = static_cast<unsigned>(flags.jobs);
+  opt.jobs = flags.jobs;
   opt.shrink = !flags.no_shrink;
   opt.work_budget = flags.work_budget;
   opt.scratch_dir = flags.scratch_dir;
@@ -1007,7 +930,7 @@ int main(int argc, char** argv) {
 
     cli::FlagParser fp;
     CommonFlags common;
-    std::uint64_t top = 10;
+    std::size_t top = 10;
     RunFlags run_flags;
     SvcFlags svc_flags;
     LintFlags lint_flags;
@@ -1061,7 +984,7 @@ int main(int argc, char** argv) {
     if (cmd == "faults") return cmd_faults(which, common);
     if (cmd == "cop") {
       if (pos.size() > 1) top = cli::parse_uint("cop <n>", pos[1]);
-      return cmd_cop(which, static_cast<std::size_t>(top));
+      return cmd_cop(which, top);
     }
     if (cmd == "tables") return cmd_tables(which, common);
     if (cmd == "lint") return cmd_lint(which, common, lint_flags);

@@ -26,11 +26,12 @@
 #      AddressSanitizer (typed errors, never UB), and so must the packed
 #      engine's word machinery and the service's admission/coalescing path —
 #      plus the net loopback determinism suite (NetFrame / NetLoopback /
-#      NetDrain / NetSharedStore);
+#      NetDrain / NetSharedStore) and the shared stdin/TCP session
+#      (NetSession / FrontDoor*);
 #   6. unless --quick: the TSan preset build + thread-heavy test suites
 #      (ParallelFsim / PackedFsim / SweepEquiv / SweepAbort /
 #      EngineCrossCheck / WorkerPool / StoreConcurrency / Svc* / Net* /
-#      FuzzDeterminism) with suppressions from tools/tsan.supp.
+#      FrontDoor* / FuzzDeterminism) with suppressions from tools/tsan.supp.
 #
 # Exit code 0 means every gate that could run passed.
 set -euo pipefail
@@ -119,7 +120,7 @@ if [[ "$quick" == 0 ]]; then
   echo "== ASan+UBSan (rls::store suites) =="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j"$(nproc)" >/dev/null
-  if ! ctest --test-dir build-asan -R "Store|PackedFsim|Svc|NetFrame|NetLoopback|NetDrain|NetSharedStore|Fuzz" --output-on-failure; then
+  if ! ctest --test-dir build-asan -R "Store|PackedFsim|Svc|NetFrame|NetLoopback|NetDrain|NetSharedStore|NetSession|FrontDoor|Fuzz" --output-on-failure; then
     echo "asan store suites: FAILED" >&2
     fail=1
   fi
