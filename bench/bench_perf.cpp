@@ -413,7 +413,11 @@ void BM_ServeThroughput(benchmark::State& state, const char* name,
       {8, 16, 16}, {8, 16, 64}, {8, 32, 16}, {8, 32, 64}};
   const auto make_request = [&](std::size_t combo, unsigned dup) {
     svc::CampaignRequest req;
-    req.id = "b" + std::to_string(combo) + "d" + std::to_string(dup);
+    std::string id(1, 'b');  // "b<combo>d<dup>"
+    id += std::to_string(combo);
+    id += 'd';
+    id += std::to_string(dup);
+    req.id = std::move(id);
     req.circuit = name;
     req.la = kPins[combo][0];
     req.lb = kPins[combo][1];
@@ -503,7 +507,11 @@ void BM_NetThroughput(benchmark::State& state, const char* name,
       {8, 16, 16}, {8, 16, 64}, {8, 32, 16}, {8, 32, 64}};
   const auto make_request = [&](std::size_t combo, unsigned dup) {
     svc::CampaignRequest req;
-    req.id = "b" + std::to_string(combo) + "d" + std::to_string(dup);
+    std::string id(1, 'b');  // "b<combo>d<dup>"
+    id += std::to_string(combo);
+    id += 'd';
+    id += std::to_string(dup);
+    req.id = std::move(id);
     req.circuit = name;
     req.la = kPins[combo][0];
     req.lb = kPins[combo][1];

@@ -5,6 +5,7 @@
 // of the fractional-divider structure that makes s208/s420 random-pattern
 // resistant — built gate by gate.
 #include <cstdio>
+#include <string>
 
 #include "core/campaign.hpp"
 #include "netlist/bench_io.hpp"
@@ -15,6 +16,12 @@ int main() {
   using namespace rls;
   using netlist::GateType;
   using netlist::SignalId;
+  // Signal names "q0", "c1", ...
+  const auto name = [](char prefix, int k) {
+    std::string s(1, prefix);
+    s += std::to_string(k);
+    return s;
+  };
 
   // ---- build: 4-bit synchronous counter with enable + decode output ----
   netlist::Netlist nl("counter4");
@@ -22,22 +29,22 @@ int main() {
   const SignalId load = nl.add_input("load");
   std::vector<SignalId> q;
   for (int k = 0; k < 4; ++k) {
-    q.push_back(nl.add_dff("q" + std::to_string(k)));
+    q.push_back(nl.add_dff(name('q', k)));
   }
   // carry chain: c0 = en, ck = c(k-1) & q(k-1)
   SignalId carry = nl.add_gate(GateType::kBuf, "c0", {en});
   std::vector<SignalId> carries{carry};
   for (int k = 1; k < 4; ++k) {
-    carry = nl.add_gate(GateType::kAnd, "c" + std::to_string(k),
+    carry = nl.add_gate(GateType::kAnd, name('c', k),
                         {carry, q[static_cast<std::size_t>(k - 1)]});
     carries.push_back(carry);
   }
   // next state: dk = (qk XOR ck) OR load-gated pattern
   for (int k = 0; k < 4; ++k) {
-    const SignalId t = nl.add_gate(GateType::kXor, "t" + std::to_string(k),
+    const SignalId t = nl.add_gate(GateType::kXor, name('t', k),
                                    {q[static_cast<std::size_t>(k)],
                                     carries[static_cast<std::size_t>(k)]});
-    const SignalId d = nl.add_gate(GateType::kAnd, "d" + std::to_string(k),
+    const SignalId d = nl.add_gate(GateType::kAnd, name('d', k),
                                    {t, load});
     nl.connect(q[static_cast<std::size_t>(k)], {d});
   }

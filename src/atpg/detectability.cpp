@@ -72,6 +72,9 @@ DetectabilityReport classify(const sim::CompiledCircuit& cc,
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (settled[i]) continue;
     const Podem::Result r = podem.generate(faults[i]);
+    rep.podem_decisions += r.decisions;
+    rep.podem_backtracks += static_cast<std::uint64_t>(r.backtracks);
+    rep.podem_implications += r.implications;
     switch (r.status) {
       case Podem::Status::kDetected:
         rep.cls[i] = FaultClass::kDetectable;

@@ -51,6 +51,11 @@ struct DetectabilityReport {
   std::size_t detected_by_atpg = 0;
   /// Faults settled kUntestable by the presolved mask (0 when none given).
   std::size_t presolved_untestable = 0;
+  /// PODEM effort summed over the faults it settled: inputs assigned by
+  /// backtrace, decision flips, and gate evaluations done by implication.
+  std::uint64_t podem_decisions = 0;
+  std::uint64_t podem_backtracks = 0;
+  std::uint64_t podem_implications = 0;
 
   [[nodiscard]] std::size_t num_faults() const noexcept { return cls.size(); }
 };

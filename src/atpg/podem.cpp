@@ -1,6 +1,9 @@
 #include "atpg/podem.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <limits>
 
 namespace rls::atpg {
 
@@ -14,21 +17,18 @@ constexpr std::uint8_t kX = 2;
 
 std::uint8_t v_not(std::uint8_t a) { return a == kX ? kX : (a ^ 1); }
 
-std::uint8_t v_and(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a == 1 && b == 1) return 1;
-  return kX;
-}
-
-std::uint8_t v_or(std::uint8_t a, std::uint8_t b) {
-  if (a == 1 || b == 1) return 1;
-  if (a == 0 && b == 0) return 0;
-  return kX;
-}
-
 std::uint8_t v_xor(std::uint8_t a, std::uint8_t b) {
   if (a == kX || b == kX) return kX;
   return a ^ b;
+}
+
+bool test_bit(const std::vector<std::uint64_t>& bits, std::size_t i) {
+  return (bits[i / 64] >> (i % 64)) & 1u;
+}
+
+void set_bit(std::vector<std::uint64_t>& bits, std::size_t i, bool on) {
+  const std::uint64_t m = std::uint64_t{1} << (i % 64);
+  bits[i / 64] = on ? (bits[i / 64] | m) : (bits[i / 64] & ~m);
 }
 
 }  // namespace
@@ -51,6 +51,75 @@ Podem::Podem(const sim::CompiledCircuit& cc, Options opt)
   observed_.assign(n, 0);
   for (SignalId id : cc.outputs()) observed_[id] = 1;
   for (SignalId ff : cc.flip_flops()) observed_[cc.fanin(ff)[0]] = 1;
+
+  pos_.assign(n, kNoPos);
+  const auto order = cc.order();
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    pos_[order[p]] = static_cast<std::uint32_t>(p);
+  }
+  queue_.resize(static_cast<std::size_t>(cc.max_level()) + 1);
+  queued_.assign(n, 0);
+  diff_.assign((n + 63) / 64, 0);
+  frontier_.assign((order.size() + 63) / 64, 0);
+  seen_.assign(n, 0);
+}
+
+bool Podem::eval_dual(SignalId id) {
+  const auto fi = cc_->fanin(id);
+  const GateType t = cc_->type(id);
+  // Input-pin fault: the faulty machine reads the stuck value on that pin.
+  const std::int16_t fpin = id == fault_.gate ? fault_.pin : -1;
+  auto f_in = [&](std::size_t k) -> std::uint8_t {
+    return static_cast<std::int16_t>(k) == fpin ? fault_.stuck : fv_[fi[k]];
+  };
+  std::uint8_t g, f;
+  switch (t) {
+    case GateType::kBuf:
+    case GateType::kNot:
+      g = gv_[fi[0]];
+      f = f_in(0);
+      break;
+    case GateType::kAnd:
+    case GateType::kNand:
+    case GateType::kOr:
+    case GateType::kNor: {
+      // Controlling value on any input wins; else X on any input is X.
+      const auto cv = static_cast<std::uint8_t>(netlist::controlling_value(t));
+      bool g_cv = false, g_x = false, f_cv = false, f_x = false;
+      for (std::size_t k = 0; k < fi.size(); ++k) {
+        const std::uint8_t a = gv_[fi[k]];
+        const std::uint8_t b = f_in(k);
+        g_cv |= a == cv;
+        g_x |= a == kX;
+        f_cv |= b == cv;
+        f_x |= b == kX;
+      }
+      g = g_cv ? cv : g_x ? kX : static_cast<std::uint8_t>(cv ^ 1);
+      f = f_cv ? cv : f_x ? kX : static_cast<std::uint8_t>(cv ^ 1);
+      break;
+    }
+    case GateType::kXor:
+    case GateType::kXnor:
+      g = 0;
+      f = 0;
+      for (std::size_t k = 0; k < fi.size(); ++k) {
+        g = v_xor(g, gv_[fi[k]]);
+        f = v_xor(f, f_in(k));
+      }
+      break;
+    default:
+      return false;
+  }
+  if (netlist::is_inverting(t)) {
+    g = v_not(g);
+    f = v_not(f);
+  }
+  // Output fault on a combinational gate: the faulty line is stuck.
+  if (fault_.pin < 0 && id == fault_.gate) f = fault_.stuck;
+  const bool changed = g != gv_[id] || f != fv_[id];
+  gv_[id] = g;
+  fv_[id] = f;
+  return changed;
 }
 
 void Podem::simulate() {
@@ -68,77 +137,103 @@ void Podem::simulate() {
   if (fault_.pin < 0 && !netlist::is_combinational(cc_->type(fault_.gate))) {
     fv_[fault_.gate] = fault_.stuck;
   }
+  for (SignalId id : cc_->order()) eval_dual(id);
 
-  for (SignalId id : cc_->order()) {
-    const auto fi = cc_->fanin(id);
-    auto g_in = [&](std::size_t k) { return gv_[fi[k]]; };
-    auto f_in = [&](std::size_t k) -> std::uint8_t {
-      if (id == fault_.gate && static_cast<std::int16_t>(k) == fault_.pin) {
-        return fault_.stuck;  // faulted input pin reads the stuck value
+  std::fill(diff_.begin(), diff_.end(), 0);
+  std::fill(frontier_.begin(), frontier_.end(), 0);
+  observed_diffs_ = 0;
+  for (SignalId id = 0; id < cc_->num_signals(); ++id) {
+    if (!has_diff(id)) continue;
+    set_bit(diff_, id, true);
+    if (observed_[id]) ++observed_diffs_;
+  }
+  const auto order = cc_->order();
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    set_bit(frontier_, p, frontier_status(order[p]));
+  }
+}
+
+void Podem::enqueue_fanout(SignalId id) {
+  for (SignalId c : cc_->fanout(id)) {
+    if (pos_[c] == kNoPos || queued_[c]) continue;
+    queued_[c] = 1;
+    const int l = cc_->level(c);
+    queue_[static_cast<std::size_t>(l)].push_back(c);
+    queue_lo_ = std::min(queue_lo_, l);
+    queue_hi_ = std::max(queue_hi_, l);
+  }
+}
+
+void Podem::set_input(std::uint32_t idx, std::uint8_t v) {
+  assign_[idx] = v;
+  const SignalId id = view_inputs_[idx];
+  // An output fault on this input keeps the faulty machine stuck.
+  const std::uint8_t f = fault_.pin < 0 && id == fault_.gate ? fault_.stuck : v;
+  if (gv_[id] == v && fv_[id] == f) return;
+  gv_[id] = v;
+  fv_[id] = f;
+  changed_.push_back(id);
+  enqueue_fanout(id);
+}
+
+std::uint64_t Podem::propagate() {
+  std::uint64_t evals = 0;
+  // A gate's fanouts sit on strictly higher levels, so each bucket is
+  // complete when its turn comes and every gate is evaluated once.
+  for (int l = queue_lo_; l <= queue_hi_; ++l) {
+    std::vector<SignalId>& bucket = queue_[static_cast<std::size_t>(l)];
+    for (const SignalId id : bucket) {
+      queued_[id] = 0;
+      ++evals;
+      if (eval_dual(id)) {
+        changed_.push_back(id);
+        enqueue_fanout(id);
       }
-      return fv_[fi[k]];
-    };
-    std::uint8_t g, f;
-    switch (cc_->type(id)) {
-      case GateType::kBuf:
-        g = g_in(0);
-        f = f_in(0);
-        break;
-      case GateType::kNot:
-        g = v_not(g_in(0));
-        f = v_not(f_in(0));
-        break;
-      case GateType::kAnd:
-      case GateType::kNand: {
-        g = 1;
-        f = 1;
-        for (std::size_t k = 0; k < fi.size(); ++k) {
-          g = v_and(g, g_in(k));
-          f = v_and(f, f_in(k));
-        }
-        if (cc_->type(id) == GateType::kNand) {
-          g = v_not(g);
-          f = v_not(f);
-        }
-        break;
-      }
-      case GateType::kOr:
-      case GateType::kNor: {
-        g = 0;
-        f = 0;
-        for (std::size_t k = 0; k < fi.size(); ++k) {
-          g = v_or(g, g_in(k));
-          f = v_or(f, f_in(k));
-        }
-        if (cc_->type(id) == GateType::kNor) {
-          g = v_not(g);
-          f = v_not(f);
-        }
-        break;
-      }
-      case GateType::kXor:
-      case GateType::kXnor: {
-        g = 0;
-        f = 0;
-        for (std::size_t k = 0; k < fi.size(); ++k) {
-          g = v_xor(g, g_in(k));
-          f = v_xor(f, f_in(k));
-        }
-        if (cc_->type(id) == GateType::kXnor) {
-          g = v_not(g);
-          f = v_not(f);
-        }
-        break;
-      }
-      default:
-        continue;
     }
-    gv_[id] = g;
-    fv_[id] = f;
-    // Output fault on a combinational gate: the faulty line is stuck.
-    if (fault_.pin < 0 && id == fault_.gate) {
-      fv_[id] = fault_.stuck;
-    }
+    bucket.clear();
+  }
+  queue_lo_ = std::numeric_limits<int>::max();
+  queue_hi_ = -1;
+  for (const SignalId id : changed_) refresh(id);
+  changed_.clear();
+  return evals;
+}
+
+void Podem::clear_queue() {
+  for (int l = queue_lo_; l <= queue_hi_; ++l) {
+    std::vector<SignalId>& bucket = queue_[static_cast<std::size_t>(l)];
+    for (const SignalId id : bucket) queued_[id] = 0;
+    bucket.clear();
+  }
+  queue_lo_ = std::numeric_limits<int>::max();
+  queue_hi_ = -1;
+  changed_.clear();
+}
+
+bool Podem::frontier_status(SignalId id) const {
+  // An X-output gate (in either machine) with a binary difference on some
+  // input; the faulted pin reads its stuck value.
+  if (gv_[id] != kX && fv_[id] != kX) return false;
+  const auto fi = cc_->fanin(id);
+  const std::int16_t fpin = id == fault_.gate ? fault_.pin : -1;
+  for (std::size_t k = 0; k < fi.size(); ++k) {
+    const std::uint8_t gval = gv_[fi[k]];
+    const std::uint8_t fval =
+        static_cast<std::int16_t>(k) == fpin ? fault_.stuck : fv_[fi[k]];
+    if (gval != kX && fval != kX && gval != fval) return true;
+  }
+  return false;
+}
+
+void Podem::refresh(SignalId id) {
+  const bool d = has_diff(id);
+  if (d != test_bit(diff_, id)) {
+    set_bit(diff_, id, d);
+    if (observed_[id]) d ? ++observed_diffs_ : --observed_diffs_;
+  }
+  if (pos_[id] != kNoPos) set_bit(frontier_, pos_[id], frontier_status(id));
+  for (SignalId c : cc_->fanout(id)) {
+    if (pos_[c] != kNoPos) set_bit(frontier_, pos_[c], frontier_status(c));
   }
 }
 
@@ -148,11 +243,7 @@ bool Podem::detected() const {
     const std::uint8_t v = gv_[fault_src_];
     return v != kX && v == (fault_.stuck ^ 1);
   }
-  for (SignalId id = 0; id < cc_->num_signals(); ++id) {
-    if (!observed_[id]) continue;
-    if (gv_[id] != kX && fv_[id] != kX && gv_[id] != fv_[id]) return true;
-  }
-  return false;
+  return observed_diffs_ > 0;
 }
 
 Podem::Objective Podem::get_objective() {
@@ -170,32 +261,21 @@ Podem::Objective Podem::get_objective() {
     return {};  // excited == detected; if we got here detection failed
   }
 
-  // 2. Propagation: pick a D-frontier gate (an X-output gate with a
-  //    propagating difference on some input) and set one of its X inputs
-  //    to the non-controlling value.
-  for (SignalId id : cc_->order()) {
-    if (gv_[id] != kX && fv_[id] != kX) continue;
-    const auto fi = cc_->fanin(id);
-    bool has_diff_input = false;
-    for (std::size_t k = 0; k < fi.size(); ++k) {
-      std::uint8_t fval = fv_[fi[k]];
-      if (id == fault_.gate && static_cast<std::int16_t>(k) == fault_.pin) {
-        fval = fault_.stuck;
+  // 2. Propagation: take the first D-frontier gate in topological order
+  //    that has an X input, and set that input to the non-controlling
+  //    value.
+  const auto order = cc_->order();
+  for (std::size_t w = 0; w < frontier_.size(); ++w) {
+    for (std::uint64_t bits = frontier_[w]; bits != 0; bits &= bits - 1) {
+      const SignalId id =
+          order[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+      for (SignalId in : cc_->fanin(id)) {
+        if (gv_[in] != kX) continue;
+        const int cv = netlist::controlling_value(cc_->type(id));
+        const std::uint8_t non_controlling =
+            cv < 0 ? 0 : static_cast<std::uint8_t>(cv ^ 1);
+        return {in, non_controlling, true};
       }
-      const std::uint8_t gval = gv_[fi[k]];
-      if (gval != kX && fval != kX && gval != fval) {
-        has_diff_input = true;
-        break;
-      }
-    }
-    if (!has_diff_input) continue;
-    // Choose an X input to sensitize.
-    for (std::size_t k = 0; k < fi.size(); ++k) {
-      if (gv_[fi[k]] != kX) continue;
-      const int cv = netlist::controlling_value(cc_->type(id));
-      const std::uint8_t non_controlling =
-          cv < 0 ? 0 : static_cast<std::uint8_t>(cv ^ 1);
-      return {fi[k], non_controlling, true};
     }
   }
   return {};
@@ -272,39 +352,39 @@ Podem::Objective Podem::backtrace(Objective obj) const {
   }
 }
 
-bool Podem::x_path_exists() const {
+bool Podem::x_path_exists() {
   // A difference can still reach an observation point if some signal with a
   // binary difference, or the fault site itself, has a forward path of
   // X-valued signals to an observed signal. Conservative (returns true in
-  // doubt): BFS over signals that are X in either machine.
-  std::vector<std::uint8_t> seen(cc_->num_signals(), 0);
-  std::vector<SignalId> stack;
+  // doubt): DFS over combinational gates that are X in either machine.
+  if (observed_diffs_ > 0) return true;
+  if (++seen_stamp_ == 0) {
+    std::fill(seen_.begin(), seen_.end(), 0);
+    seen_stamp_ = 1;
+  }
+  stack_.clear();
+  auto push = [&](SignalId c) {
+    if (seen_[c] == seen_stamp_) return;
+    seen_[c] = seen_stamp_;
+    stack_.push_back(c);
+  };
   auto push_fanout = [&](SignalId id) {
-    for (SignalId c : cc_->nl().fanout()[id]) {
-      if (!seen[c] && netlist::is_combinational(cc_->type(c)) &&
-          (gv_[c] == kX || fv_[c] == kX)) {
-        seen[c] = 1;
-        stack.push_back(c);
-      }
+    for (SignalId c : cc_->fanout(id)) {
+      if (pos_[c] != kNoPos && (gv_[c] == kX || fv_[c] == kX)) push(c);
     }
   };
   // Seed: signals carrying a binary difference, plus the fault site.
-  for (SignalId id = 0; id < cc_->num_signals(); ++id) {
-    if (gv_[id] != kX && fv_[id] != kX && gv_[id] != fv_[id]) {
-      if (observed_[id]) return true;
-      push_fanout(id);
+  for (std::size_t w = 0; w < diff_.size(); ++w) {
+    for (std::uint64_t bits = diff_[w]; bits != 0; bits &= bits - 1) {
+      push_fanout(static_cast<SignalId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
     }
   }
   const SignalId site = fault_.gate;
-  if (gv_[site] == kX || fv_[site] == kX) {
-    if (!seen[site]) {
-      seen[site] = 1;
-      stack.push_back(site);
-    }
-  }
-  while (!stack.empty()) {
-    const SignalId id = stack.back();
-    stack.pop_back();
+  if (gv_[site] == kX || fv_[site] == kX) push(site);
+  while (!stack_.empty()) {
+    const SignalId id = stack_.back();
+    stack_.pop_back();
     if (observed_[id]) return true;
     push_fanout(id);
   }
@@ -320,6 +400,9 @@ Podem::Result Podem::generate(const Fault& f) {
     if (cc_->type(f.gate) == GateType::kDff) dff_d_fault_ = true;
   }
 
+  // The untestable and aborted exits can leave set_input() events that
+  // were never propagated.
+  clear_queue();
   std::fill(assign_.begin(), assign_.end(), kX);
 
   struct Decision {
@@ -363,9 +446,10 @@ Podem::Result Podem::generate(const Fault& f) {
         const std::uint32_t idx = input_index_[pi_obj.signal];
         assert(idx != ~std::uint32_t{0});
         assert(assign_[idx] == kX);
-        assign_[idx] = pi_obj.value;
+        set_input(idx, pi_obj.value);
         stack.push_back({idx, pi_obj.value, false});
-        simulate();
+        ++res.decisions;
+        res.implications += propagate();
         continue;
       }
     }
@@ -374,23 +458,22 @@ Podem::Result Podem::generate(const Fault& f) {
     for (;;) {
       if (stack.empty()) {
         res.status = Status::kUntestable;
-        res.backtracks = res.backtracks;
         return res;
       }
       Decision& d = stack.back();
       if (!d.flipped) {
         d.flipped = true;
         d.value ^= 1;
-        assign_[d.input] = d.value;
+        set_input(d.input, d.value);
         ++res.backtracks;
         if (res.backtracks > opt_.backtrack_limit) {
           res.status = Status::kAborted;
           return res;
         }
-        simulate();
+        res.implications += propagate();
         break;
       }
-      assign_[d.input] = kX;
+      set_input(d.input, kX);
       stack.pop_back();
     }
   }

@@ -11,12 +11,14 @@
 
 #include "analysis/lint.hpp"
 #include "analysis/sta.hpp"
+#include "atpg/podem.hpp"
 #include "core/param_select.hpp"
 #include "core/procedure1.hpp"
 #include "core/procedure2.hpp"
 #include "core/run_context.hpp"
 #include "core/ts0.hpp"
 #include "fault/collapse.hpp"
+#include "fault/comb_fsim.hpp"
 #include "fault/seq_fsim.hpp"
 #include "gen/synth.hpp"
 #include "net/framing.hpp"
@@ -450,6 +452,105 @@ std::optional<std::string> sta_soundness(const OracleEnv& env,
   return std::nullopt;
 }
 
+/// The podem-soundness checks over one result per universe fault.
+std::optional<std::string> check_podem_results(
+    const OracleEnv& env, const std::vector<atpg::Podem::Result>& res,
+    fault::CombFaultSim& fsim) {
+  using Status = atpg::Podem::Status;
+  const std::size_t n_pi = env.cc.inputs().size();
+  const std::size_t n_in = n_pi + env.cc.flip_flops().size();
+  std::vector<sim::Word> pi(n_pi), ppi(n_in - n_pi);
+  const auto name = [&](std::size_t i) {
+    return fault::fault_name(env.nl, env.universe[i]);
+  };
+
+  // Lane 0 fills X with 0, lane 1 fills X with 1; both must detect.
+  const auto fill = [](std::uint8_t v) -> sim::Word {
+    return v == 1 ? 0b11 : v == 0 ? 0b00 : 0b10;
+  };
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    if (res[i].status != Status::kDetected) continue;
+    for (std::size_t k = 0; k < n_pi; ++k) pi[k] = fill(res[i].pi[k]);
+    for (std::size_t k = 0; k < ppi.size(); ++k) ppi[k] = fill(res[i].ppi[k]);
+    fsim.set_patterns(pi, ppi);
+    const sim::Word m = fsim.detect_mask(env.universe[i]) & 0b11;
+    if (m != 0b11) {
+      return "PODEM test for " + name(i) + " misses its fault with X filled " +
+             (m == 0 ? "either way" : m == 0b01 ? "all-1" : "all-0");
+    }
+  }
+
+  rls::rand::Rng rng(env.c.seed ^ 0x90DE'5EEDull);
+  for (int round = 0; round < 8; ++round) {
+    for (sim::Word& w : pi) w = rng.next_u64();
+    for (sim::Word& w : ppi) w = rng.next_u64();
+    fsim.set_patterns(pi, ppi);
+    for (std::size_t i = 0; i < res.size(); ++i) {
+      if (res[i].status == Status::kUntestable &&
+          fsim.detect_mask(env.universe[i]) != 0) {
+        return "PODEM proved " + name(i) +
+               " untestable but a random pattern detects it";
+      }
+    }
+  }
+
+  if (n_in > 14) return std::nullopt;
+  // Pattern p sets view input k to bit k of p; 64 patterns per block.
+  std::vector<std::uint8_t> detectable(res.size(), 0);
+  const std::uint64_t patterns = std::uint64_t{1} << n_in;
+  for (std::uint64_t base = 0; base < patterns; base += 64) {
+    const std::uint64_t lanes = std::min<std::uint64_t>(64, patterns - base);
+    for (std::size_t k = 0; k < n_in; ++k) {
+      sim::Word w = 0;
+      for (std::uint64_t lane = 0; lane < lanes; ++lane) {
+        if (((base + lane) >> k) & 1) w |= sim::Word{1} << lane;
+      }
+      (k < n_pi ? pi[k] : ppi[k - n_pi]) = w;
+    }
+    fsim.set_patterns(pi, ppi);
+    const sim::Word valid =
+        lanes == 64 ? sim::kAllOnes : (sim::Word{1} << lanes) - 1;
+    for (std::size_t i = 0; i < res.size(); ++i) {
+      if (!detectable[i] &&
+          (fsim.detect_mask(env.universe[i]) & valid) != 0) {
+        detectable[i] = 1;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    if (res[i].status == Status::kAborted) continue;
+    const bool podem_detects = res[i].status == Status::kDetected;
+    if (podem_detects != (detectable[i] != 0)) {
+      return "PODEM calls " + name(i) +
+             (podem_detects ? " detectable" : " untestable") +
+             " but exhaustive search disagrees";
+    }
+  }
+  return std::nullopt;
+}
+
+/// Oracle: PODEM soundness on the full-scan view. Every kDetected test,
+/// its X inputs filled all-0 and again all-1, must detect its fault under
+/// CombFaultSim; no kUntestable fault may be detected by 8 random 64-pattern
+/// rounds; and with at most 14 view inputs, every non-aborted verdict must
+/// agree with an exhaustive search. PODEM's full simulations, its
+/// implications and every CombFaultSim evaluation are charged as work.
+std::optional<std::string> podem_soundness(const OracleEnv& env,
+                                           std::uint64_t* work) {
+  *work += kOracleBaseWork;
+  atpg::Podem podem(env.cc);
+  std::vector<atpg::Podem::Result> res;
+  res.reserve(env.universe.size());
+  for (const fault::Fault& f : env.universe) {
+    res.push_back(podem.generate(f));
+    *work += env.cc.order().size() + res.back().implications;
+  }
+  fault::CombFaultSim fsim(env.cc);
+  std::optional<std::string> why = check_podem_results(env, res, fsim);
+  *work += fsim.gate_evals();
+  return why;
+}
+
 /// svc request-parser fuzzing: deterministic byte- and field-level
 /// mutations of a canonical CampaignRequest line. Every mutant must either
 /// parse or be rejected with RequestError (anything else escapes as a
@@ -740,6 +841,10 @@ std::vector<Finding> run_case_impl(const FuzzCase& c, const FuzzOptions& opt,
       oracle("engine-crosscheck", [&] { return engine_crosscheck(env, &work); });
   if (alive) {
     alive = oracle("sta-soundness", [&] { return sta_soundness(env, &work); });
+  }
+  if (alive) {
+    alive =
+        oracle("podem-soundness", [&] { return podem_soundness(env, &work); });
   }
   if (alive && c.options.sweep) {
     alive = oracle("sweep-width", [&] { return sweep_width(env, &work); });

@@ -25,6 +25,11 @@
 //                      self-check (profiles with tied inputs synthesize
 //                      derived constants, so the untestable set is
 //                      routinely non-empty);
+//   podem-soundness    every PODEM kDetected test (X filled all-0, then
+//                      all-1) must detect its fault under CombFaultSim, no
+//                      kUntestable fault may be detected by 8 random
+//                      64-pattern rounds, and with <= 14 view inputs every
+//                      non-aborted verdict must match exhaustive search;
 //   sweep-width        first_complete_combo at W=1 and at the case's
 //                      randomized W must produce byte-identical traces,
 //                      identical committed runs and identical fsim.*

@@ -57,8 +57,9 @@ class Builder {
   bool is_used(SignalId id) const { return id < used_.size() && used_[id]; }
 
   SignalId add_gate(GateType type, const std::vector<SignalId>& fanin) {
-    const SignalId id =
-        nl_.add_gate(type, "n" + std::to_string(next_name_++), fanin);
+    std::string name(1, 'n');
+    name += std::to_string(next_name_++);
+    const SignalId id = nl_.add_gate(type, std::move(name), fanin);
     for (SignalId in : fanin) mark_used(in);
     comb_gates_.push_back(id);
     return id;

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -34,23 +36,30 @@ struct TraceEvent {
 
   /// Builder-style field appenders (order of calls == serialized order).
   TraceEvent& u64(std::string key, std::uint64_t v) {
-    fields.emplace_back(std::move(key), Value{v});
-    return *this;
+    return add<std::uint64_t>(std::move(key), v);
   }
   TraceEvent& i64(std::string key, std::int64_t v) {
-    fields.emplace_back(std::move(key), Value{v});
-    return *this;
+    return add<std::int64_t>(std::move(key), v);
   }
   TraceEvent& f64(std::string key, double v) {
-    fields.emplace_back(std::move(key), Value{v});
-    return *this;
+    return add<double>(std::move(key), v);
   }
   TraceEvent& boolean(std::string key, bool v) {
-    fields.emplace_back(std::move(key), Value{v});
-    return *this;
+    return add<bool>(std::move(key), v);
   }
   TraceEvent& str(std::string key, std::string v) {
-    fields.emplace_back(std::move(key), Value{std::move(v)});
+    return add<std::string>(std::move(key), std::move(v));
+  }
+
+ private:
+  /// Builds the field in place: moving a temporary Value into the pair
+  /// trips GCC 12's -Wmaybe-uninitialized on the inactive alternatives.
+  template <typename T, typename Arg>
+  TraceEvent& add(std::string&& key, Arg&& v) {
+    fields.emplace_back(std::piecewise_construct,
+                        std::forward_as_tuple(std::move(key)),
+                        std::forward_as_tuple(std::in_place_type<T>,
+                                              std::forward<Arg>(v)));
     return *this;
   }
 };

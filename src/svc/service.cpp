@@ -30,7 +30,17 @@ class StringSink final : public obs::TraceSink {
   std::string out_;
 };
 
+/// Deterministic client back-off suggestion: scales with how deep the
+/// queue was when the request bounced, so herds thin out instead of
+/// hammering a full service in lockstep.
+std::uint64_t retry_hint_ms(std::size_t queue_depth) {
+  return 25 * (static_cast<std::uint64_t>(queue_depth) + 1);
+}
+
+}  // namespace
+
 netlist::Netlist load_circuit(const std::string& which) {
+  // Registry names win; anything else must be an existing, readable file.
   if (gen::is_known_circuit(which)) return gen::make_circuit(which);
   if (!std::ifstream(which).good()) {
     throw RequestError(
@@ -40,15 +50,6 @@ netlist::Netlist load_circuit(const std::string& which) {
   }
   return netlist::load_bench_file(which);
 }
-
-/// Deterministic client back-off suggestion: scales with how deep the
-/// queue was when the request bounced, so herds thin out instead of
-/// hammering a full service in lockstep.
-std::uint64_t retry_hint_ms(std::size_t queue_depth) {
-  return 25 * (static_cast<std::uint64_t>(queue_depth) + 1);
-}
-
-}  // namespace
 
 CampaignService::CampaignService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.queue_capacity == 0) {
@@ -85,7 +86,11 @@ void CampaignService::start() {
 std::shared_future<CampaignResponse> CampaignService::submit_locked(
     CampaignRequest&& req, obs::ProgressObserver* progress) {
   if (stopping_) throw ServiceStoppedError();
-  if (req.id.empty()) req.id = "r" + std::to_string(next_id_++);
+  if (req.id.empty()) {
+    std::string id(1, 'r');
+    id += std::to_string(next_id_++);
+    req.id = std::move(id);
+  }
 
   Subscriber sub;
   sub.id = req.id;

@@ -50,6 +50,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "netlist/netlist.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
 #include "sim/worker_pool.hpp"
@@ -76,6 +77,11 @@ struct ServiceConfig {
   /// deterministic backlog, then call start().
   bool autostart = true;
 };
+
+/// Loads a circuit by registry name (s27, s208, ...) or, failing that, from
+/// a readable ISCAS-89 .bench file. Throws RequestError naming `which`
+/// when it is neither. Shared by the service and every `rls` subcommand.
+netlist::Netlist load_circuit(const std::string& which);
 
 /// Typed admission rejection: the queue was full at submit() time.
 /// Carries a deterministic back-off hint (proportional to the queue

@@ -282,6 +282,20 @@ TEST(CliEngine, RetiredConediffEngineIsATypedUsageError) {
   EXPECT_NE(out.find("conediff"), std::string::npos) << out;
 }
 
+/// Every circuit-taking subcommand resolves its argument through the one
+/// shared loader: an unknown name is an error naming it, with exit 1.
+TEST(CliEngine, UnknownCircuitIsNamedWithExitOne) {
+  for (const char* cmd : {"stats", "bench", "faults", "cop", "run"}) {
+    const auto [status, out] =
+        run_rls(std::string(cmd) + " no_such_circuit.bench");
+    EXPECT_EQ(status, 1) << cmd << "\n" << out;
+    EXPECT_EQ(out,
+              "error: 'no_such_circuit.bench' is neither a known circuit "
+              "(see `rls list`) nor a readable .bench file\n")
+        << cmd;
+  }
+}
+
 /// `rls` arguments that overflowed a narrower destination used to wrap
 /// silently (4294967296 -> 0, 4294967297 -> 1); each must now be a usage
 /// error naming the flag and its range, while the field's own maximum

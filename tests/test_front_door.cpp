@@ -47,11 +47,14 @@ std::string with_id(const std::string& tmpl, const std::string& id) {
 
 #ifdef RLS_CLI_PATH
 
-/// ~0.3 s in a Release build: long enough that everything written right
-/// behind it is admitted while it still occupies the only worker.
+/// ~0.6 s in a Release build, most of it PODEM (which ThreadSanitizer
+/// slows far less than multi-threaded fault simulation): long enough that
+/// everything written right behind it, including after the stdin path's
+/// 200 ms settle pause, is admitted while it still occupies the only
+/// worker.
 const std::string kSlow =
-    R"({"schema":2,"id":"%","circuit":"s953","la":8,"lb":16,"n":16,)"
-    R"("max_iterations":1})";
+    R"({"schema":2,"id":"%","circuit":"s1196","la":8,"lb":16,"n":16,)"
+    R"("max_iterations":1,"threads":1})";
 
 /// Error prose carries the line's origin ("stdin:2: ..." / "conn0:2:
 /// ..."); it is the one place the two front doors may differ.
@@ -226,7 +229,7 @@ std::vector<std::string> run_stdin(const std::vector<Chunk>& script,
     }
     // A subprocess cannot be asked whether its worker claimed the work;
     // the claim is a condition-variable wakeup, far below this margin.
-    if (c.settle > 0) std::this_thread::sleep_for(500ms);
+    if (c.settle > 0) std::this_thread::sleep_for(200ms);
   }
   proc.close_stdin();
   while (const auto line = proc.read_line(kEnvelopeTimeout)) {

@@ -2,12 +2,21 @@
 // untestability proofs on known-redundant structures.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <map>
+#include <string>
+
+#include "atpg/detectability.hpp"
 #include "atpg/podem.hpp"
 #include "fault/collapse.hpp"
 #include "fault/comb_fsim.hpp"
+#include "gen/registry.hpp"
 #include "gen/s27.hpp"
 #include "gen/synth.hpp"
 #include "helpers.hpp"
+#include "rand/rng.hpp"
+#include "store/serde.hpp"
 
 namespace rls::atpg {
 namespace {
@@ -170,6 +179,132 @@ TEST(Podem, BacktrackLimitAborts) {
   }
   // With zero backtracks allowed some faults abort — and none crash.
   EXPECT_GE(aborted, 0);
+}
+
+/// Indices of the faults that classify() hands to PODEM under default
+/// DetectabilityOptions: not a DFF Q-output fault (scan-chain rule) and
+/// not detected by the random PPSFP phase (same rounds, seed and order).
+std::vector<std::size_t> podem_survivors(const sim::CompiledCircuit& cc,
+                                         const std::vector<Fault>& faults) {
+  const DetectabilityOptions opt;
+  std::vector<std::uint8_t> settled(faults.size(), 0);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (faults[i].pin < 0 && cc.type(faults[i].gate) == GateType::kDff) {
+      settled[i] = 1;
+    }
+  }
+  fault::CombFaultSim fsim(cc);
+  rls::rand::Rng rng(opt.seed);
+  std::vector<Word> pi(cc.inputs().size()), ppi(cc.flip_flops().size());
+  for (std::size_t round = 0; round < opt.random_rounds; ++round) {
+    for (Word& w : pi) w = rng.next_u64();
+    for (Word& w : ppi) w = rng.next_u64();
+    fsim.set_patterns(pi, ppi);
+    bool any_left = false;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (settled[i]) continue;
+      if (fsim.detect_mask(faults[i]) != 0) {
+        settled[i] = 1;
+      } else {
+        any_left = true;
+      }
+    }
+    if (!any_left) break;
+  }
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (!settled[i]) out.push_back(i);
+  }
+  return out;
+}
+
+/// FNV-1a over (fault index, status, backtracks, pi, ppi) of every PODEM
+/// result on the circuit's random-phase survivors.
+std::uint64_t podem_digest(const Netlist& nl) {
+  const sim::CompiledCircuit cc(nl);
+  const auto faults = fault::collapsed_universe(nl);
+  Podem podem(cc);
+  std::uint64_t h = store::kFnvBasis;
+  for (const std::size_t i : podem_survivors(cc, faults)) {
+    const Podem::Result r = podem.generate(faults[i]);
+    const std::uint64_t index = i;
+    const auto status = static_cast<std::uint8_t>(r.status);
+    const auto backtracks = static_cast<std::uint64_t>(r.backtracks);
+    h = store::fnv1a64(&index, sizeof index, h);
+    h = store::fnv1a64(&status, sizeof status, h);
+    h = store::fnv1a64(&backtracks, sizeof backtracks, h);
+    h = store::fnv1a64(r.pi.data(), r.pi.size(), h);
+    h = store::fnv1a64(r.ppi.data(), r.ppi.size(), h);
+  }
+  return h;
+}
+
+// Pins every PODEM decision on the registry: any change to the search
+// (objective order, backtrace, pruning, implication) moves a digest.
+// s35932/s35932s are left out to keep the suite fast.
+TEST(PodemGolden, RegistryResultsArePinned) {
+  const std::map<std::string, std::uint64_t> golden = {
+    {"s27", 0xCBF29CE484222325ull},
+    {"s208", 0xD2B9EDF03098DCDEull},
+    {"s298", 0x68BE76D448707C1Bull},
+    {"s344", 0xB348600BD14B31C3ull},
+    {"s382", 0xA26249F1E3CC6761ull},
+    {"s400", 0xED2C8C1661F41789ull},
+    {"s420", 0xB290306AE7298827ull},
+    {"s420t", 0x7F5B37D819FB0660ull},
+    {"s510", 0xD6C95F124595FDB9ull},
+    {"s641", 0x9C4DAE618906EEE0ull},
+    {"s820", 0xE121CC545C18B9DEull},
+    {"s953", 0x3631A511FC17545Full},
+    {"s1196", 0xB17F0DD2A9C5F75Cull},
+    {"s1423", 0xBC00E7CB7F02F952ull},
+    {"s5378", 0x3F4F2C32CCF88499ull},
+    {"b01", 0xA4D9EDB644DF638Dull},
+    {"b02", 0x1DFFE232A2B7EBA2ull},
+    {"b03", 0x2591541A517E5399ull},
+    {"b04", 0x0D23D5D682F5F025ull},
+    {"b06", 0x95685DDBA7A6A46Cull},
+    {"b09", 0x0751D35E0C96D324ull},
+    {"b10", 0xFA8DE40B43452FF2ull},
+    {"b11", 0x2ED92ECF2D92408Dull},
+  };
+  for (const std::string& name : gen::known_circuits()) {
+    if (name == "s35932" || name == "s35932s") continue;
+    const std::uint64_t got = podem_digest(gen::make_circuit(name));
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016" PRIX64 "ull", got);
+    const auto it = golden.find(name);
+    ASSERT_NE(it, golden.end()) << "no golden digest for " << name
+                                << "; got {\"" << name << "\", " << hex
+                                << "},";
+    EXPECT_EQ(it->second, got) << name << ": got " << hex;
+  }
+}
+
+// The classifier's PODEM counters tie out with the per-fault results.
+TEST(PodemGolden, ReportBacktracksSumResultBacktracks) {
+  for (const char* name : {"s298", "s953", "s1423"}) {
+    const Netlist nl = gen::make_circuit(name);
+    const sim::CompiledCircuit cc(nl);
+    const auto faults = fault::collapsed_universe(nl);
+    const DetectabilityReport rep = classify(cc, faults);
+    Podem podem(cc);
+    std::uint64_t backtracks = 0, decisions = 0, implications = 0;
+    const auto survivors = podem_survivors(cc, faults);
+    for (const std::size_t i : survivors) {
+      const Podem::Result r = podem.generate(faults[i]);
+      backtracks += static_cast<std::uint64_t>(r.backtracks);
+      decisions += r.decisions;
+      implications += r.implications;
+    }
+    EXPECT_EQ(survivors.size(), rep.detected_by_atpg + rep.num_untestable +
+                                    rep.num_aborted)
+        << name;
+    EXPECT_EQ(rep.podem_backtracks, backtracks) << name;
+    EXPECT_EQ(rep.podem_decisions, decisions) << name;
+    EXPECT_EQ(rep.podem_implications, implications) << name;
+    EXPECT_GE(rep.podem_decisions, rep.podem_backtracks) << name;
+  }
 }
 
 }  // namespace

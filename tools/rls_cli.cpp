@@ -76,18 +76,6 @@ namespace {
 
 using namespace rls;
 
-netlist::Netlist load(const std::string& which) {
-  // Registry names win; anything else must be an existing, readable file.
-  if (gen::is_known_circuit(which)) return gen::make_circuit(which);
-  if (!std::ifstream(which).good()) {
-    throw std::runtime_error(
-        "'" + which +
-        "' is neither a known circuit (see `rls list`) nor a readable "
-        ".bench file");
-  }
-  return netlist::load_bench_file(which);
-}
-
 /// Flags shared by every circuit-taking subcommand, plus the observability
 /// wiring they configure. Register with `add_to`, then `configure` a
 /// RunContext after parsing (the sinks outlive the returned object).
@@ -158,7 +146,7 @@ int cmd_list() {
 }
 
 int cmd_stats(const std::string& which) {
-  const netlist::Netlist nl = load(which);
+  const netlist::Netlist nl = svc::load_circuit(which);
   const netlist::CircuitStats s = netlist::compute_stats(nl);
   std::printf("circuit: %s\n%s\n", nl.name().c_str(),
               netlist::to_string(s).c_str());
@@ -171,14 +159,14 @@ int cmd_stats(const std::string& which) {
 }
 
 int cmd_bench(const std::string& which) {
-  std::printf("%s", netlist::write_bench(load(which)).c_str());
+  std::printf("%s", netlist::write_bench(svc::load_circuit(which)).c_str());
   return 0;
 }
 
 int cmd_faults(const std::string& which, CommonFlags& common) {
   core::RunContext ctx;
   common.configure(ctx);
-  const core::Workbench wb(load(which), ctx.options);
+  const core::Workbench wb(svc::load_circuit(which), ctx.options);
   const auto& det = wb.detectability();
   std::printf("circuit: %s\n", wb.name().c_str());
   std::printf("collapsed stuck-at faults: %zu\n", wb.universe().size());
@@ -186,6 +174,11 @@ int cmd_faults(const std::string& which, CommonFlags& common) {
               det.num_detectable, det.detected_by_random, det.detected_by_atpg);
   std::printf("  untestable:  %zu (proven redundant)\n", det.num_untestable);
   std::printf("  aborted:     %zu (PODEM backtrack limit)\n", det.num_aborted);
+  std::printf("  PODEM effort: %llu decisions, %llu backtracks, "
+              "%llu implications\n",
+              static_cast<unsigned long long>(det.podem_decisions),
+              static_cast<unsigned long long>(det.podem_backtracks),
+              static_cast<unsigned long long>(det.podem_implications));
   if (ctx.sink()) {
     obs::TraceEvent ev("detectability");
     ev.str("circuit", wb.name())
@@ -200,7 +193,7 @@ int cmd_faults(const std::string& which, CommonFlags& common) {
 }
 
 int cmd_cop(const std::string& which, std::size_t top) {
-  const netlist::Netlist nl = load(which);
+  const netlist::Netlist nl = svc::load_circuit(which);
   const sim::CompiledCircuit cc(nl);
   const analysis::CopResult cop = analysis::compute_cop(cc);
   const auto faults = fault::collapsed_universe(nl);
@@ -226,7 +219,7 @@ int cmd_cop(const std::string& which, std::size_t top) {
 int cmd_tables(const std::string& which, CommonFlags& common) {
   core::RunContext ctx;
   common.configure(ctx);
-  const netlist::Netlist nl = load(which);
+  const netlist::Netlist nl = svc::load_circuit(which);
   const auto combos = core::enumerate_default_combos(nl.num_state_vars());
   report::Table table({"rank", "LA", "LB", "N", "Ncyc0"});
   for (std::size_t k = 0; k < 10 && k < combos.size(); ++k) {
@@ -756,7 +749,7 @@ struct AnalyzeFlags {
 
 int cmd_analyze(const std::string& which, CommonFlags& common,
                 const AnalyzeFlags& flags) {
-  const netlist::Netlist nl = load(which);
+  const netlist::Netlist nl = svc::load_circuit(which);
   const sim::CompiledCircuit cc(nl);
   const std::vector<fault::Fault> faults = fault::collapsed_universe(nl);
   const analysis::StaReport rep = analysis::analyze(cc);

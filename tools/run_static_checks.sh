@@ -19,16 +19,20 @@
 #      oracles; skipped with --quick) plus a replay of the committed
 #      regression corpus under tests/fuzz_corpus/ (always runs) — zero
 #      findings required for both;
-#   5. unless --quick: the ASan+UBSan preset build + the rls::store suites
+#   5. unless --quick: a Release configure + build of every target with
+#      -DRLS_WERROR=ON (in build-werror/) — the tree must compile without
+#      a single -Wall -Wextra warning;
+#   6. unless --quick: the ASan+UBSan preset build + the rls::store suites
 #      (StoreSerde / StoreArtifact / StoreNegative / StoreCheckpoint /
 #      StoreResume / ...) plus the PackedFsim and campaign-service (Svc*)
 #      suites — the adversarial corruption tests must be clean under
 #      AddressSanitizer (typed errors, never UB), and so must the packed
 #      engine's word machinery and the service's admission/coalescing path —
 #      plus the net loopback determinism suite (NetFrame / NetLoopback /
-#      NetDrain / NetSharedStore) and the shared stdin/TCP session
-#      (NetSession / FrontDoor*);
-#   6. unless --quick: the TSan preset build + thread-heavy test suites
+#      NetDrain / NetSharedStore), the shared stdin/TCP session
+#      (NetSession / FrontDoor*) and the event-driven PODEM (Podem* /
+#      Detectability*);
+#   7. unless --quick: the TSan preset build + thread-heavy test suites
 #      (ParallelFsim / PackedFsim / SweepEquiv / SweepAbort /
 #      EngineCrossCheck / WorkerPool / StoreConcurrency / Svc* / Net* /
 #      FrontDoor* / FuzzDeterminism) with suppressions from tools/tsan.supp.
@@ -115,12 +119,25 @@ if ! build/tools/rls fuzz --replay tests/fuzz_corpus --findings - 2>/dev/null; t
 fi
 echo "fuzz: clean"
 
-# ---- 5. ASan store suites -----------------------------------------------
+# ---- 5. Warnings-as-errors build ---------------------------------------
+if [[ "$quick" == 0 ]]; then
+  echo "== -DRLS_WERROR=ON Release build =="
+  if ! { cmake -B build-werror -S . -DCMAKE_BUILD_TYPE=Release \
+           -DRLS_WERROR=ON >/dev/null &&
+         cmake --build build-werror -j"$(nproc)" >/dev/null; }; then
+    echo "werror build: FAILED" >&2
+    fail=1
+  fi
+else
+  echo "== -DRLS_WERROR=ON build: skipped (--quick) =="
+fi
+
+# ---- 6. ASan store suites -----------------------------------------------
 if [[ "$quick" == 0 ]]; then
   echo "== ASan+UBSan (rls::store suites) =="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j"$(nproc)" >/dev/null
-  if ! ctest --test-dir build-asan -R "Store|PackedFsim|Svc|NetFrame|NetLoopback|NetDrain|NetSharedStore|NetSession|FrontDoor|Fuzz" --output-on-failure; then
+  if ! ctest --test-dir build-asan -R "Store|PackedFsim|Svc|NetFrame|NetLoopback|NetDrain|NetSharedStore|NetSession|FrontDoor|Fuzz|Podem|Detectability" --output-on-failure; then
     echo "asan store suites: FAILED" >&2
     fail=1
   fi
@@ -128,7 +145,7 @@ else
   echo "== ASan store suites: skipped (--quick) =="
 fi
 
-# ---- 6. TSan suites -----------------------------------------------------
+# ---- 7. TSan suites -----------------------------------------------------
 if [[ "$quick" == 0 ]]; then
   echo "== TSan (thread-heavy suites) =="
   cmake --preset tsan >/dev/null
