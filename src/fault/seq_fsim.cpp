@@ -40,6 +40,7 @@ SeqFaultSim::SeqFaultSim(const sim::CompiledCircuit& cc)
   force_slot_.assign(cc.num_signals(), 0);
   queued_epoch_.assign(cc.num_signals(), 0);
   level_queue_.resize(static_cast<std::size_t>(cc.max_level()) + 1);
+  chain_diff_.assign(cc.flip_flops().size(), 0);
   cc.init_constants(values_);
 }
 
@@ -69,13 +70,9 @@ SeqFaultSim::Overlay SeqFaultSim::build_overlay(
       if (cc_->type(f.gate) == GateType::kDff) o.has_ff_force = true;
     } else if (cc_->type(f.gate) == GateType::kDff) {
       // D-pin fault: functional capture only.
-      const auto ffs = cc_->flip_flops();
-      std::size_t pos = 0;
-      for (; pos < ffs.size(); ++pos) {
-        if (ffs[pos] == f.gate) break;
-      }
       o.dff_d_fix.emplace_back(
-          pos, PinFix{static_cast<std::uint8_t>(lane), f.pin, f.stuck});
+          cc_->chain_pos(f.gate),
+          PinFix{static_cast<std::uint8_t>(lane), f.pin, f.stuck});
     } else {
       o.pin_fix[f.gate].push_back(
           PinFix{static_cast<std::uint8_t>(lane), f.pin, f.stuck});
@@ -316,9 +313,14 @@ Word SeqFaultSim::run_test_with_trace(const scan::ScanTest& test,
 }
 
 void SeqFaultSim::enqueue_gate(SignalId id) {
-  if (cc_->type(id) == GateType::kDff) return;  // crosses at the clock edge
   if (queued_epoch_[id] == epoch_) return;
   queued_epoch_[id] = epoch_;
+  if (cc_->type(id) == GateType::kDff) {
+    // Divergence crosses a flip-flop at the clock edge: remember which
+    // chain positions captured a diverged D word.
+    reached_.push_back(cc_->chain_pos(id));
+    return;
+  }
   level_queue_[static_cast<std::size_t>(cc_->level(id))].push_back(id);
 }
 
@@ -334,26 +336,18 @@ SeqFaultSim::PackedOverlay SeqFaultSim::build_packed_overlay(
   // Forces are pre-masked with the batch's live lanes so dead (tail)
   // lanes can never diverge from the reference.
   const ForceMask force{f.stuck ? kAllOnes : ~live, f.stuck ? live : Word{0}};
-  const auto ff_position = [&] {
-    const auto ffs = cc_->flip_flops();
-    std::size_t pos = 0;
-    for (; pos < ffs.size(); ++pos) {
-      if (ffs[pos] == f.gate) break;
-    }
-    return pos;
-  };
   if (f.pin < 0) {
     o.is_out = true;
     o.out = force;
     o.is_source = t == GateType::kInput || t == GateType::kDff;
     if (t == GateType::kDff) {
       o.has_ff_force = true;
-      o.ff_pos = ff_position();
+      o.ff_pos = cc_->chain_pos(f.gate);
     }
   } else if (t == GateType::kDff) {
     o.is_dff_d = true;
     o.pin_force = force;
-    o.dff_pos = ff_position();
+    o.dff_pos = cc_->chain_pos(f.gate);
   } else {
     o.pin = f.pin;
     o.pin_force = force;
@@ -362,13 +356,20 @@ SeqFaultSim::PackedOverlay SeqFaultSim::build_packed_overlay(
 }
 
 SeqFaultSim::PackedTrace SeqFaultSim::compute_packed_trace(
-    const sim::PackedBatch& batch) {
+    const sim::PackedBatch& batch,
+    std::span<const std::uint32_t> q_positions) {
   PackedTrace tr;
   const std::size_t n_signals = cc_->num_signals();
   const std::size_t n_sv = cc_->flip_flops().size();
+  const std::size_t n_steps = batch.total_steps();
   const bool signature = mode_ == ObservationMode::kSignature;
   tr.snap.resize(batch.length() * n_signals);
-  tr.shift_out.resize(batch.total_steps());
+  tr.shift_out.resize(n_steps);
+  tr.q_slot.assign(n_sv, sim::CompiledCircuit::kNoChainPos);
+  for (std::size_t i = 0; i < q_positions.size(); ++i) {
+    tr.q_slot[q_positions[i]] = static_cast<std::uint32_t>(i);
+  }
+  tr.q_ref.resize(q_positions.size() * n_steps);
   std::unique_ptr<bist::LaneMisr> ref_misr;
   if (signature) ref_misr = std::make_unique<bist::LaneMisr>(misr_degree_);
 
@@ -379,6 +380,9 @@ SeqFaultSim::PackedTrace SeqFaultSim::compute_packed_trace(
       const Word mask = batch.step_mask(step);
       const Word out = ref_.shift_masked(batch.step_in(step), mask);
       tr.shift_out[step] = out;
+      for (std::size_t i = 0; i < q_positions.size(); ++i) {
+        tr.q_ref[i * n_steps + step] = ref_.state_word(q_positions[i]);
+      }
       if (signature) ref_misr->absorb_one_masked(out, mask);
     }
     const Word* pi = batch.pi_unit(u);
@@ -408,27 +412,43 @@ SeqFaultSim::PackedTrace SeqFaultSim::compute_packed_trace(
   return tr;
 }
 
-Word SeqFaultSim::packed_shift(Word scan_in, Word mask,
-                               const PackedOverlay& o) {
-  const std::size_t n_sv = pk_state_.size();
-  if (n_sv == 0) return 0;
-  const Word out = pk_state_[n_sv - 1];
-  for (std::size_t k = n_sv; k-- > 1;) {
-    pk_state_[k] = (pk_state_[k] & ~mask) | (pk_state_[k - 1] & mask);
-  }
-  pk_state_[0] = (pk_state_[0] & ~mask) | (scan_in & mask);
-  if (o.has_ff_force) {
-    pk_state_[o.ff_pos] =
-        (pk_state_[o.ff_pos] & o.out.and_mask) | o.out.or_mask;
-  }
-  return out;
+void SeqFaultSim::chain_clear() {
+  std::fill(chain_diff_.begin() + static_cast<std::ptrdiff_t>(win_lo_),
+            chain_diff_.begin() + static_cast<std::ptrdiff_t>(win_hi_), 0);
+  win_lo_ = win_hi_ = 0;
 }
 
-void SeqFaultSim::packed_unit_eval(const sim::PackedBatch& batch,
-                                   const PackedTrace& trace,
+void SeqFaultSim::chain_set(std::size_t pos, Word d) {
+  chain_diff_[pos] = d;
+  if (d == 0) return;
+  if (win_lo_ == win_hi_) {
+    win_lo_ = pos;
+    win_hi_ = pos + 1;
+  } else {
+    win_lo_ = std::min(win_lo_, pos);
+    win_hi_ = std::max(win_hi_, pos + 1);
+  }
+}
+
+void SeqFaultSim::chain_shift(Word mask) {
+  if (win_lo_ == win_hi_) return;
+  // The reference shifts the same scan-in bits, so the difference enters
+  // as zero at position 0 and moves one position up in the masked lanes;
+  // the window grows by one (the top word leaves at N_SV).
+  const std::size_t top = std::min(win_hi_, chain_diff_.size() - 1);
+  for (std::size_t k = top; k > win_lo_; --k) {
+    chain_diff_[k] = (chain_diff_[k] & ~mask) | (chain_diff_[k - 1] & mask);
+  }
+  chain_diff_[win_lo_] &= ~mask;
+  win_hi_ = top + 1;
+  while (win_lo_ < win_hi_ && chain_diff_[win_lo_] == 0) ++win_lo_;
+  while (win_hi_ > win_lo_ && chain_diff_[win_hi_ - 1] == 0) --win_hi_;
+}
+
+void SeqFaultSim::packed_unit_eval(const PackedTrace& trace,
                                    const PackedOverlay& o, std::size_t unit) {
-  (void)batch;
   ++epoch_;
+  reached_.clear();
   const std::size_t n_signals = cc_->num_signals();
   const Word* snap = trace.snap_unit(unit, n_signals);
   const auto ffs = cc_->flip_flops();
@@ -441,11 +461,11 @@ void SeqFaultSim::packed_unit_eval(const sim::PackedBatch& batch,
     return diff_epoch_[id] == epoch_ ? diff_val_[id] : snap[id];
   };
 
-  // Seed the frontier from flip-flops whose packed state diverged (via
-  // capture, scan shifting of corrupted data, or a Q force)...
-  for (std::size_t k = 0; k < ffs.size(); ++k) {
-    if (pk_state_[k] != snap[ffs[k]]) {
-      set_diff(ffs[k], pk_state_[k]);
+  // Seed the frontier from flip-flops whose state diverged (via capture,
+  // scan shifting of corrupted data, or a Q force)...
+  for (std::size_t k = win_lo_; k < win_hi_; ++k) {
+    if (chain_diff_[k] != 0) {
+      set_diff(ffs[k], snap[ffs[k]] ^ chain_diff_[k]);
       enqueue_fanout(ffs[k]);
     }
   }
@@ -509,40 +529,55 @@ bool SeqFaultSim::run_packed_fault(const sim::PackedBatch& batch,
   }
   const auto ffs = cc_->flip_flops();
   const std::size_t n_sv = ffs.size();
-  pk_state_.assign(n_sv, 0);
   const Word live = batch.live();
   const bool signature = mode_ == ObservationMode::kSignature;
   if (signature) lane_misr_->reset();
   Word detected = 0;
+  chain_clear();
+
+  // A stuck Q re-forces its chain position after every shift and clock:
+  // the new difference there is force(ref ^ d) ^ ref.
+  const auto q_diff = [&](Word ref, Word d) {
+    return (((ref ^ d) & o.out.and_mask) | o.out.or_mask) ^ ref;
+  };
+  const Word* q_ref =
+      o.has_ff_force && !trace.q_ref.empty()
+          ? trace.q_ref.data() + trace.q_slot[o.ff_pos] * batch.total_steps()
+          : nullptr;
 
   // ---- scan-in ----
+  // The reference loads the same bits, so only a stuck Q diverges: every
+  // bit that transits its position is forced, which leaves positions
+  // >= ff_pos holding the forced value.
   if (o.has_ff_force) {
-    // A stuck Q corrupts every bit transiting its chain position: after a
-    // full scan-in, positions >= ff_pos hold the forced value (each such
-    // bit was forced when it sat in ff_pos and shifted on unchanged).
-    // Closed form in O(n_sv) instead of n_sv chain shifts.
-    for (std::size_t k = 0; k < n_sv; ++k) {
-      const Word w = batch.scan_in()[k];
-      pk_state_[k] =
-          k >= o.ff_pos ? (w & o.out.and_mask) | o.out.or_mask : w;
+    for (std::size_t k = o.ff_pos; k < n_sv; ++k) {
+      chain_set(k, q_diff(batch.scan_in()[k], 0));
     }
-  } else {
-    for (std::size_t k = 0; k < n_sv; ++k) pk_state_[k] = batch.scan_in()[k];
   }
 
   // ---- at-speed sequence with limited scan operations ----
   for (std::size_t u = 0; u < batch.length(); ++u) {
-    for (std::uint32_t j = 0; j < batch.shifts(u); ++j) {
+    // A clean chain stays clean under shifting, so per-cycle mode skips
+    // the steps (a signature still clocks its MISR at every step).
+    const bool skip_shifts =
+        win_lo_ == win_hi_ && !o.has_ff_force && !signature;
+    for (std::uint32_t j = 0; !skip_shifts && j < batch.shifts(u); ++j) {
       const std::size_t step = batch.step_index(u, j);
       const Word mask = batch.step_mask(step);
-      const Word out = packed_shift(batch.step_in(step), mask, o);
+      const Word out_diff = win_hi_ == n_sv && win_lo_ < win_hi_
+                                ? chain_diff_[n_sv - 1]
+                                : Word{0};
+      chain_shift(mask);
+      if (o.has_ff_force) {
+        chain_set(o.ff_pos, q_diff(q_ref[step], chain_diff_[o.ff_pos]));
+      }
       if (signature) {
-        lane_misr_->absorb_one_masked(out, mask);
+        lane_misr_->absorb_one_masked(trace.shift_out[step] ^ out_diff, mask);
       } else {
-        detected |= (out ^ trace.shift_out[step]) & mask;
+        detected |= out_diff & mask;
       }
     }
-    packed_unit_eval(batch, trace, o, u);
+    packed_unit_eval(trace, o, u);
     const Word* snap = trace.snap_unit(u, n_signals);
     const auto fv = [&](SignalId id) -> Word {
       return diff_epoch_[id] == epoch_ ? diff_val_[id] : snap[id];
@@ -565,42 +600,45 @@ bool SeqFaultSim::run_packed_fault(const sim::PackedBatch& batch,
       if (detected != 0) return true;
     }
     // ---- clock edge ----
-    for (std::size_t k = 0; k < n_sv; ++k) {
-      next_state_[k] = fv(cc_->fanin(ffs[k])[0]);
+    // The reference captures snap[D] at every position, so only positions
+    // whose D word diverged (reached_) or whose capture is faulty differ.
+    chain_clear();
+    for (const std::uint32_t pos : reached_) {
+      const SignalId d = cc_->fanin(ffs[pos])[0];
+      chain_set(pos, fv(d) ^ snap[d]);
     }
     if (o.is_dff_d) {
-      next_state_[o.dff_pos] =
-          (next_state_[o.dff_pos] & o.pin_force.and_mask) |
-          o.pin_force.or_mask;
+      const SignalId d = cc_->fanin(ffs[o.dff_pos])[0];
+      const Word captured =
+          (fv(d) & o.pin_force.and_mask) | o.pin_force.or_mask;
+      chain_set(o.dff_pos, captured ^ snap[d]);
     }
-    for (std::size_t k = 0; k < n_sv; ++k) pk_state_[k] = next_state_[k];
     if (o.has_ff_force) {
-      pk_state_[o.ff_pos] =
-          (pk_state_[o.ff_pos] & o.out.and_mask) | o.out.or_mask;
+      const Word ref = snap[cc_->fanin(ffs[o.ff_pos])[0]];
+      chain_set(o.ff_pos, q_diff(ref, chain_diff_[o.ff_pos]));
     }
   }
 
   // ---- complete scan-out ----
   if (!o.has_ff_force && !signature) {
     // Undistorted chain: the observed stream is exactly the final state,
-    // compared in place (mirrors the scalar engines' shortcut).
-    for (std::size_t k = 0; k < n_sv; ++k) {
-      detected |= (pk_state_[k] ^ trace.final_state[k]) & live;
+    // so any diverged live lane in the window is detected.
+    for (std::size_t k = win_lo_; k < win_hi_; ++k) {
+      detected |= chain_diff_[k] & live;
     }
   } else {
     // Observed stream = state right-to-left; a bit leaving position
-    // pos <= ff_pos transits the stuck Q on its way out and is forced
-    // (closed form of the explicit shift-out, O(n_sv) total).
+    // pos <= ff_pos transits the stuck Q on its way out and is forced.
     for (std::size_t k = 0; k < n_sv; ++k) {
       const std::size_t pos = n_sv - 1 - k;
-      Word out = pk_state_[pos];
+      Word d = chain_diff_[pos];
       if (o.has_ff_force && pos <= o.ff_pos) {
-        out = (out & o.out.and_mask) | o.out.or_mask;
+        d = q_diff(trace.final_state[pos], d);
       }
       if (signature) {
-        lane_misr_->absorb_one_masked(out, live);
+        lane_misr_->absorb_one_masked(trace.final_state[pos] ^ d, live);
       } else {
-        detected |= (out ^ trace.final_state[pos]) & live;
+        detected |= d & live;
       }
     }
   }
@@ -647,11 +685,24 @@ std::size_t SeqFaultSim::run_packed_test_set(const scan::TestSet& ts,
 
   std::size_t newly = 0;
   std::vector<std::uint8_t> hit;
+  std::vector<std::uint32_t> q_positions;
   for (const sim::PackedBatch& batch : batches) {
     if (remaining.empty()) break;
     ++packed_batches_;
     lanes_active_ += static_cast<std::uint64_t>(std::popcount(batch.live()));
-    const PackedTrace trace = compute_packed_trace(batch);
+    // Reference columns are recorded only at the chain positions of the
+    // still-undetected Q faults (ascending position).
+    q_positions.clear();
+    for (const std::size_t i : remaining) {
+      const Fault& f = fl.fault(i);
+      if (f.pin < 0 && cc_->type(f.gate) == GateType::kDff) {
+        q_positions.push_back(cc_->chain_pos(f.gate));
+      }
+    }
+    std::sort(q_positions.begin(), q_positions.end());
+    q_positions.erase(std::unique(q_positions.begin(), q_positions.end()),
+                      q_positions.end());
+    const PackedTrace trace = compute_packed_trace(batch, q_positions);
     hit.assign(remaining.size(), 0);
 
     const unsigned n_workers =

@@ -25,9 +25,10 @@
 //     reference is simulated once per batch of up to 64 equal-length
 //     tests, then each remaining fault replays the batch through a
 //     cone-restricted level-ordered frontier of difference *words* (a
-//     frontier entry stays live while any lane differs) and is dropped at
-//     the first observation point whose difference word intersects the
-//     live-lane mask. See DESIGN.md, "Packed engine".
+//     frontier entry stays live while any lane differs), carries the scan
+//     chain as a windowed difference against the reference chain, and is
+//     dropped at the first observation point whose difference word
+//     intersects the live-lane mask. See DESIGN.md, "Packed engine".
 //   * kFullSweep (oracle) packs 64 *faults* per word and re-evaluates
 //     every combinational gate at every time unit, one test at a time.
 //     It is the simple reference the production engine is checked
@@ -197,12 +198,16 @@ class SeqFaultSim {
   /// kPacked: fault-free reference of one batch. `snap` holds the full
   /// lane-transposed machine per time unit (flat [unit * num_signals + id]
   /// layout); `shift_out` is step-aligned with the batch's limited scan
-  /// steps.
+  /// steps. `q_ref` holds, for each chain position that carries an
+  /// undetected Q fault, the reference word at that position after every
+  /// limited scan step (the stuck Q is re-forced after each shift).
   struct PackedTrace {
     std::vector<sim::Word> snap;          // [length * num_signals]
     std::vector<sim::Word> shift_out;     // [batch.total_steps()]
     std::vector<sim::Word> final_state;   // [n_sv], post-clock of last unit
     std::vector<sim::Word> misr_stages;   // kSignature mode only
+    std::vector<std::uint32_t> q_slot;    // [n_sv], column of a Q position
+    std::vector<sim::Word> q_ref;         // [slot * total_steps + step]
 
     [[nodiscard]] const sim::Word* snap_unit(
         std::size_t unit, std::size_t num_signals) const noexcept {
@@ -232,14 +237,17 @@ class SeqFaultSim {
 
   // kPacked primitives.
   PackedOverlay build_packed_overlay(const Fault& f, sim::Word live) const;
-  PackedTrace compute_packed_trace(const sim::PackedBatch& batch);
+  PackedTrace compute_packed_trace(const sim::PackedBatch& batch,
+                                   std::span<const std::uint32_t> q_positions);
   bool run_packed_fault(const sim::PackedBatch& batch,
                         const PackedTrace& trace, const PackedOverlay& o);
-  sim::Word packed_shift(sim::Word scan_in, sim::Word mask,
-                         const PackedOverlay& o);
-  void packed_unit_eval(const sim::PackedBatch& batch,
-                        const PackedTrace& trace, const PackedOverlay& o,
+  void packed_unit_eval(const PackedTrace& trace, const PackedOverlay& o,
                         std::size_t unit);
+
+  // kPacked chain-difference primitives (see chain_diff_).
+  void chain_clear();
+  void chain_set(std::size_t pos, sim::Word d);
+  void chain_shift(sim::Word mask);
   std::size_t run_packed_test_set(const scan::TestSet& ts, FaultList& fl);
 
   // Faulty-machine primitives (operate on values_).
@@ -282,13 +290,20 @@ class SeqFaultSim {
   std::vector<std::vector<netlist::SignalId>> level_queue_;
 
   // kPacked scratch. The faulty machine is a sparse difference over the
-  // packed reference snapshot: fv(id) = diff_val_[id] when diff_epoch_[id]
-  // is current, else the snapshot word — no per-fault value array is ever
-  // materialized or restored. Only the flip-flop state persists across
-  // time units (pk_state_).
-  std::vector<sim::Word> pk_state_;        // faulty packed FF state
+  // packed reference: fv(id) = diff_val_[id] when diff_epoch_[id] is
+  // current, else the snapshot word — no per-fault value array is ever
+  // materialized or restored. Only the scan chain persists across time
+  // units, as chain_diff_[k] = faulty ^ reference word at chain position
+  // k; every position outside the window [win_lo_, win_hi_) is zero, so
+  // a shift, a frontier seed or a scan-out costs the window, not N_SV.
+  // reached_ lists the chain positions whose D input the frontier reached
+  // this unit: the only positions that can differ after the clock edge.
   std::vector<sim::Word> diff_val_;        // per-signal diverged words
   std::vector<std::uint64_t> diff_epoch_;  // validity of diff_val_
+  std::vector<sim::Word> chain_diff_;      // [n_sv]
+  std::size_t win_lo_ = 0;
+  std::size_t win_hi_ = 0;
+  std::vector<std::uint32_t> reached_;
 
   std::vector<netlist::SignalId> extra_observed_;
   unsigned threads_ = 0;

@@ -28,6 +28,11 @@ CompiledCircuit::CompiledCircuit(const netlist::Netlist& nl) : nl_(&nl) {
   order_ = std::move(lv.order);
   levels_ = std::move(lv.level);
   max_level_ = lv.max_level;
+  chain_pos_.assign(n, kNoChainPos);
+  const auto ffs = nl.flip_flops();
+  for (std::size_t k = 0; k < ffs.size(); ++k) {
+    chain_pos_[ffs[k]] = static_cast<std::uint32_t>(k);
+  }
   build_fanout();
   build_cones();
 }

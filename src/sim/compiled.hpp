@@ -107,6 +107,13 @@ class CompiledCircuit {
     return nl_->flip_flops();
   }
 
+  /// Scan-chain position of a flip-flop: the k with flip_flops()[k] == id
+  /// (0 = scan-in side). kNoChainPos for any other signal.
+  static constexpr std::uint32_t kNoChainPos = ~std::uint32_t{0};
+  [[nodiscard]] std::uint32_t chain_pos(netlist::SignalId id) const noexcept {
+    return chain_pos_[id];
+  }
+
   /// Evaluates one combinational gate from already-computed fanin words.
   /// Exposed so fault overlays can recompute single gates.
   [[nodiscard]] Word eval_gate(netlist::SignalId id,
@@ -140,6 +147,7 @@ class CompiledCircuit {
   bool has_cones_ = false;
   std::vector<int> levels_;
   int max_level_ = 0;
+  std::vector<std::uint32_t> chain_pos_;  // [num_signals]
 
   void build_fanout();
   void build_cones();

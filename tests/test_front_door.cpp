@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <regex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -57,10 +56,36 @@ const std::string kSlow =
     R"("max_iterations":1,"threads":1})";
 
 /// Error prose carries the line's origin ("stdin:2: ..." / "conn0:2:
-/// ..."); it is the one place the two front doors may differ.
+/// ..."); it is the one place the two front doors may differ, so every
+/// "stdin:N" and "connK:N" becomes "<origin>:N".
 std::string strip_origin(const std::string& envelope) {
-  static const std::regex kOrigin(R"((stdin|conn[0-9]+):([0-9]+))");
-  return std::regex_replace(envelope, kOrigin, "<origin>:$2");
+  const auto digits_end = [&](std::size_t i) {
+    while (i < envelope.size() && envelope[i] >= '0' && envelope[i] <= '9') {
+      ++i;
+    }
+    return i;
+  };
+  std::string out;
+  std::size_t i = 0;
+  while (i < envelope.size()) {
+    std::size_t colon = std::string::npos;
+    if (envelope.compare(i, 5, "stdin") == 0) {
+      colon = i + 5;
+    } else if (envelope.compare(i, 4, "conn") == 0 &&
+               digits_end(i + 4) > i + 4) {
+      colon = digits_end(i + 4);
+    }
+    if (colon < envelope.size() && envelope[colon] == ':' &&
+        digits_end(colon + 1) > colon + 1) {
+      const std::size_t end = digits_end(colon + 1);
+      out += "<origin>";
+      out.append(envelope, colon, end - colon);
+      i = end;
+    } else {
+      out += envelope[i++];
+    }
+  }
+  return out;
 }
 
 /// One write of an interaction script. After writing `bytes`, the
